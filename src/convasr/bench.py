@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import asg_loss_batch, ctc_loss_batch, log_softmax
+from .criterion import asg_loss, ctc_loss, log_softmax
 
 
 @dataclass
@@ -26,7 +26,6 @@ class BenchConfig:
     batch_sizes: tuple = (1, 4, 8)
     repetitions: int = 5
     criteria: tuple = ("asg", "ctc")
-    threads: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -89,10 +88,11 @@ def run_bench(cfg: BenchConfig) -> list:
             times = []
             for rep in range(cfg.repetitions + 1):  # first run is warmup
                 t0 = time.perf_counter()
-                if criterion == "asg":
-                    asg_loss_batch(emissions, transitions, labels, threads=cfg.threads)
-                else:
-                    ctc_loss_batch(emissions, labels, cfg.vocab - 1, threads=cfg.threads)
+                for f, y in zip(emissions, labels):
+                    if criterion == "asg":
+                        asg_loss(f, transitions, y)
+                    else:
+                        ctc_loss(f, y, cfg.vocab - 1)
                 elapsed = (time.perf_counter() - t0) * 1000.0
                 if rep > 0:
                     times.append(elapsed)

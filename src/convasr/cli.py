@@ -33,10 +33,21 @@ from .features import load_pcm, load_wav, mfcc, normalize, power_spectrum
 from .lm import build_lexicon, load_arpa, load_lexicon, smear
 
 ENV_PREFIX = "CONVASR_"
+_ENV_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+              "0": False, "false": False, "no": False, "off": False, "": False}
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_HYPOTHESIS = 3
+
+
+class _BadEnvValue:
+    """Default standing in for a malformed CONVASR_* value.  It becomes a
+    usage error only when the chosen subcommand has that flag and the
+    command line does not set it."""
+
+    def __init__(self, message: str):
+        self.message = message
 
 
 def _apply_env_overrides(parser: argparse.ArgumentParser) -> None:
@@ -48,15 +59,20 @@ def _apply_env_overrides(parser: argparse.ArgumentParser) -> None:
             continue
         if not action.option_strings or action.dest == "help":
             continue
-        raw = os.environ.get(ENV_PREFIX + action.dest.upper())
+        name = ENV_PREFIX + action.dest.upper()
+        raw = os.environ.get(name)
         if raw is None:
             continue
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            action.default = raw.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            action.default = action.type(raw)
-        else:
-            action.default = raw
+        try:
+            if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+                value = _ENV_BOOLS[raw.lower()]
+            else:
+                value = action.type(raw) if action.type is not None else raw
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(raw)
+        except (KeyError, ValueError):
+            value = _BadEnvValue(f"environment variable {name}: invalid value {raw!r}")
+        action.default = value
 
 
 def _alphabet_from(args):
@@ -221,7 +237,6 @@ def _cmd_bench(args) -> int:
         batch_sizes=tuple(int(b) for b in args.batch_sizes.split(",")),
         repetitions=args.repetitions,
         criteria=criteria,
-        threads=args.threads,
         seed=args.seed,
     )
     rows = bench.run_bench(cfg)
@@ -303,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-sizes", default="1,4,8")
     p.add_argument("--repetitions", type=int, default=5)
     p.add_argument("--criterion", choices=("asg", "ctc", "both"), default="both")
-    p.add_argument("--threads", type=int, default=None, help="default: available parallelism")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", default="", help="also write results as CSV")
     p.set_defaults(func=_cmd_bench)
@@ -315,6 +329,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     _apply_env_overrides(parser)
     args = parser.parse_args(argv)
+    for value in vars(args).values():
+        if isinstance(value, _BadEnvValue):
+            parser.error(value.message)
     try:
         return args.func(args)
     except DecodeError as exc:

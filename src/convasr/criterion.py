@@ -1,13 +1,20 @@
 """Lattice sequence criteria: graph construction, Forward/Viterbi, losses.
 
-Three lattices over T frames share one machinery:
+Every criterion runs over one time-invariant lattice: a fixed set of
+labeled states whose links are the same at every frame.  A path visits
+one state per frame, starts in an initial state, follows a link at each
+step and ends in an accepting state.  Three lattices share this form:
 
-* the blank-interleaved lattice used by the per-frame-normalized
+* the blank-interleaved chain used by the per-frame-normalized
   criterion (blanks optional, mandatory between identical neighbors);
-* the plain transcription lattice (each label a state, stay-or-advance
+* the plain transcription chain (each label a state, stay-or-advance
   moves, no blanks) used by the globally normalized criterion;
 * the fully connected lattice over all labels, used as the global
   normalizer.
+
+Frame limits need no per-frame bookkeeping: a state that no path can
+reach by frame t holds a -inf forward score there, and one that cannot
+reach an accepting state in the frames left holds a -inf backward score.
 
 Scores accumulate as emission f[t, label] plus transition
 trans[prev_label, label] per step (a per-label start score replaces the
@@ -17,13 +24,12 @@ from forward-backward posterior marginals.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 NEG_INF = -np.inf
+_FLOAT_MIN = np.finfo(np.float64).min
 
 
 class CriterionError(ValueError):
@@ -34,23 +40,30 @@ class InfeasibleError(CriterionError):
     """Raised when a transcription cannot fit in the given frame count."""
 
 
+def _lse(x: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(x))) along ``axis``, shifted by the maximum so that no
+    term overflows.  A slice of all -inf gives -inf."""
+    m = np.maximum.reduce(x, axis=axis, keepdims=True)
+    # an all -inf slice has m = -inf and -inf - -inf is nan, so shift by
+    # at least the lowest float: its terms become exp(-inf) = 0.  Every
+    # other slice sums to at least 1 (the maximum's exp(0)), so the clamp
+    # at 1 touches only the all -inf sum, whose result stays m = -inf
+    s = np.add.reduce(np.exp(x - np.maximum(m, _FLOAT_MIN)), axis=axis)
+    return m.squeeze(axis) + np.log(np.maximum(s, 1.0))
+
+
 def logadd(values) -> float:
     """Numerically stable log(sum(exp(values))); empty input gives -inf."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         return NEG_INF
-    m = np.max(values)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(values - m))))
+    return float(_lse(values.reshape(-1), 0))
 
 
 def log_softmax(scores: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax (rows then logadd to 0)."""
     scores = np.asarray(scores, dtype=np.float64)
-    m = scores.max(axis=-1, keepdims=True)
-    shifted = scores - m
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return scores - _lse(scores, -1)[..., None]
 
 
 @dataclass
@@ -66,11 +79,8 @@ class EmissionTable:
             raise CriterionError("emission scores must be a (T, L) matrix")
         if not np.all(np.isfinite(self.scores)):
             raise CriterionError("emission scores must be finite")
-        if self.normalized:
-            m = self.scores.max(axis=1, keepdims=True)
-            rows = m[:, 0] + np.log(np.exp(self.scores - m).sum(axis=1))
-            if np.max(np.abs(rows)) > 1e-5:
-                raise CriterionError("rows marked normalized do not logadd to 0")
+        if self.normalized and np.max(np.abs(_lse(self.scores, 1))) > 1e-5:
+            raise CriterionError("rows marked normalized do not logadd to 0")
 
     @classmethod
     def from_logits(cls, scores, normalize: bool = False) -> "EmissionTable":
@@ -124,37 +134,35 @@ class CriterionResult:
     d_start: np.ndarray  # (L,)
 
 
-@dataclass
-class UnfoldedGraph:
-    """Frame-indexed lattice of states with predecessor links.
+@dataclass(frozen=True)
+class Lattice:
+    """States and links shared by every one of ``num_frames`` frames.
 
-    States at frame t are stored as parallel arrays: ``frame_labels[t]``
-    holds their label ids and ``frame_preds[t]`` an (n_states, k) matrix
-    of indices into frame t-1's states, padded with -1.
-    ``frame_succs[t]`` mirrors this toward frame t+1.  ``accepting``
-    indexes the final frame's states.
+    State s carries label ``labels[s]``.  Column s of ``preds`` lists the
+    states that may precede s, ascending and padded with -1; ``succs``
+    mirrors it toward the next frame.  Paths start in a state flagged in
+    ``initial`` and end in one flagged in ``accepting``.
     """
 
     num_frames: int
-    frame_labels: list  # [t] -> int array (n_t,)
-    frame_preds: list  # [t] -> int array (n_t, k) or None at t=0
-    frame_succs: list  # [t] -> int array (n_t, k) or None at t=T-1
-    accepting: np.ndarray
-
-    def max_label(self) -> int:
-        return max(int(lab.max()) for lab in self.frame_labels)
+    labels: np.ndarray  # (S,) int
+    preds: np.ndarray  # (P, S) int
+    succs: np.ndarray  # (Q, S) int
+    initial: np.ndarray  # (S,) bool
+    accepting: np.ndarray  # (S,) bool
 
 
-def _pad_ragged(rows: list[list[int]]) -> np.ndarray:
-    width = max((len(r) for r in rows), default=0)
-    out = np.full((len(rows), max(width, 1)), -1, dtype=np.int64)
-    for i, r in enumerate(rows):
-        out[i, : len(r)] = r
+def _link_matrix(lists: list[list[int]]) -> np.ndarray:
+    """(K, S) matrix whose column s lists ``lists[s]`` ascending, padded
+    with -1."""
+    out = np.full((max(len(x) for x in lists), len(lists)), -1, dtype=np.int64)
+    for s, x in enumerate(lists):
+        out[: len(x), s] = sorted(x)
     return out
 
 
-def build_linear_graph(unit_labels, optional, num_frames: int) -> UnfoldedGraph:
-    """Unfold a left-to-right chain of states over ``num_frames``.
+def build_linear_graph(unit_labels, optional, num_frames: int) -> Lattice:
+    """Left-to-right chain of states over ``num_frames``.
 
     Each unit occupies one or more consecutive frames; units flagged
     optional may be skipped entirely.  Moves go from a unit to itself or
@@ -172,11 +180,8 @@ def build_linear_graph(unit_labels, optional, num_frames: int) -> UnfoldedGraph:
         raise CriterionError("unit/optional flag lengths differ")
 
     mandatory = [not o for o in optional]
-    # min frames to reach unit u / to finish from unit u (inclusive)
-    before = np.concatenate([[0], np.cumsum(mandatory)])
-    d_f = before[:-1] + 1
+    before = np.concatenate([[0], np.cumsum(mandatory)])  # mandatory units before u
     total_mandatory = int(before[-1])
-    d_b = (total_mandatory - before[1:]) + 1
     min_frames = max(total_mandatory, 1)
     if num_frames < min_frames:
         raise InfeasibleError(
@@ -192,76 +197,22 @@ def build_linear_graph(unit_labels, optional, num_frames: int) -> UnfoldedGraph:
             if mandatory[v]:
                 break
             v -= 1
-        unit_preds.append(sorted(preds))
+        unit_preds.append(preds)
     unit_succs: list[list[int]] = [[] for _ in range(n_units)]
     for u, preds in enumerate(unit_preds):
         for p in preds:
             unit_succs[p].append(u)
-    master_preds = _pad_ragged(unit_preds)  # (U, K) global unit indices
-    master_succs = _pad_ragged(unit_succs)
-
-    # present units at frame t (1-indexed): d_f[u] <= t <= T - d_b[u] + 1;
-    # both bounds are monotone in u, so the present set is a range.
-    latest = num_frames - d_b + 1  # non-decreasing in u
-    t_arr = np.arange(1, num_frames + 1)
-    los = np.searchsorted(latest, t_arr, side="left")
-    his = np.searchsorted(d_f, t_arr, side="right") - 1
-    if np.any(los > his):
-        raise InfeasibleError("no reachable states at some frame")  # pragma: no cover
-
-    all_labels = np.asarray(unit_labels, dtype=np.int64)
-
-    def localize(master, lo, hi, other_lo, other_hi, cache):
-        # slice the master link matrix to the frame's band and rebase the
-        # target indices onto the other frame's band; identical bands
-        # reuse one array so downstream gathers can cache on identity
-        key = (lo, hi, other_lo, other_hi)
-        hit = cache.get(key)
-        if hit is None:
-            sub = master[lo : hi + 1]
-            hit = np.where((sub < other_lo) | (sub > other_hi), -1, sub - other_lo)
-            cache[key] = hit
-        return hit
-
-    label_cache: dict = {}
-    pred_cache: dict = {}
-    succ_cache: dict = {}
-    frame_labels, frame_preds, frame_succs = [], [], []
-    for t in range(num_frames):
-        lo, hi = int(los[t]), int(his[t])
-        lab = label_cache.get((lo, hi))
-        if lab is None:
-            lab = all_labels[lo : hi + 1]
-            label_cache[(lo, hi)] = lab
-        frame_labels.append(lab)
-        if t == 0:
-            frame_preds.append(None)
-        else:
-            frame_preds.append(
-                localize(master_preds, lo, hi, int(los[t - 1]), int(his[t - 1]), pred_cache)
-            )
-        if t == num_frames - 1:
-            frame_succs.append(None)
-        else:
-            frame_succs.append(
-                localize(master_succs, lo, hi, int(los[t + 1]), int(his[t + 1]), succ_cache)
-            )
-
-    # accepting: last mandatory unit and every optional unit after it
-    accept_units = []
-    for u in range(n_units - 1, -1, -1):
-        accept_units.append(u)
-        if mandatory[u]:
-            break
-    last_lo, last_hi = int(los[-1]), int(his[-1])
-    accepting = np.asarray(
-        sorted(u - last_lo for u in accept_units if last_lo <= u <= last_hi),
-        dtype=np.int64,
+    return Lattice(
+        num_frames,
+        np.asarray(unit_labels, dtype=np.int64),
+        _link_matrix(unit_preds),
+        _link_matrix(unit_succs),
+        initial=before[:-1] == 0,
+        accepting=before[1:] == total_mandatory,
     )
-    return UnfoldedGraph(num_frames, frame_labels, frame_preds, frame_succs, accepting)
 
 
-def build_ctc_graph(labels, num_frames: int, blank_id: int) -> UnfoldedGraph:
+def build_ctc_graph(labels, num_frames: int, blank_id: int) -> Lattice:
     """Blank-interleaved lattice: blanks optional between letters and at
     the ends, mandatory between identical consecutive labels."""
     labels = [int(x) for x in labels]
@@ -287,7 +238,7 @@ def build_ctc_graph(labels, num_frames: int, blank_id: int) -> UnfoldedGraph:
         ) from None
 
 
-def build_asg_graph(labels, num_frames: int) -> UnfoldedGraph:
+def build_asg_graph(labels, num_frames: int) -> Lattice:
     """Plain transcription lattice: one state per label, stay or advance."""
     labels = [int(x) for x in labels]
     if not labels:
@@ -300,16 +251,14 @@ def build_asg_graph(labels, num_frames: int) -> UnfoldedGraph:
     return build_linear_graph(labels, [False] * len(labels), num_frames)
 
 
-def build_full_graph(num_labels: int, num_frames: int) -> UnfoldedGraph:
+def build_full_graph(num_labels: int, num_frames: int) -> Lattice:
     """Fully connected lattice accepting every frame labeling."""
     if num_labels < 1 or num_frames < 1:
         raise CriterionError("need at least one label and one frame")
     lab = np.arange(num_labels, dtype=np.int64)
-    dense = np.tile(lab, (num_labels, 1))
-    frame_labels = [lab] * num_frames
-    frame_preds = [None] + [dense] * (num_frames - 1)
-    frame_succs = [dense] * (num_frames - 1) + [None]
-    return UnfoldedGraph(num_frames, frame_labels, frame_preds, frame_succs, lab.copy())
+    dense = np.tile(lab[:, None], (1, num_labels))
+    every = np.ones(num_labels, dtype=bool)
+    return Lattice(num_frames, lab, dense, dense, every, every)
 
 
 def _as_scores(emissions) -> np.ndarray:
@@ -318,7 +267,11 @@ def _as_scores(emissions) -> np.ndarray:
     return EmissionTable(np.asarray(emissions, dtype=np.float64)).scores
 
 
-def _check_shapes(graph: UnfoldedGraph, f: np.ndarray, tr: TransitionTable) -> None:
+def _state_scores(graph: Lattice, emissions, tr: TransitionTable):
+    """Checked per-state tables every pass uses: emission (T, S), link
+    score trans[labels[preds], labels] (P, S), and start score (S,),
+    -inf outside the initial states."""
+    f = _as_scores(emissions)
     if f.shape[0] != graph.num_frames:
         raise CriterionError(
             f"graph spans {graph.num_frames} frames but emissions have {f.shape[0]}"
@@ -327,93 +280,66 @@ def _check_shapes(graph: UnfoldedGraph, f: np.ndarray, tr: TransitionTable) -> N
         raise CriterionError(
             f"transition table covers {tr.num_labels} labels, emissions {f.shape[1]}"
         )
-    if graph.max_label() >= f.shape[1]:
+    if graph.labels.max() >= f.shape[1]:
         raise CriterionError("graph refers to labels outside the emission table")
+    lab = graph.labels
+    start = np.where(graph.initial, tr.start[lab], NEG_INF)
+    return f[:, lab], tr.trans[lab[graph.preds], lab], start
 
 
-class _EdgeCache:
-    """Per-call cache of gathered transition scores.
-
-    Graph builders reuse identical per-frame arrays whenever the state
-    layout repeats, so gathering trans[prev_label, label] once per
-    distinct layout removes the dominant cost on long uniform lattices.
-    """
-
-    def __init__(self, trans: np.ndarray):
-        self.trans = trans
-        self._cache: dict = {}
-
-    def gather(self, preds, prev_labels, labels):
-        key = (id(preds), id(prev_labels), id(labels))
-        hit = self._cache.get(key)
-        if hit is None:
-            clipped = np.where(preds >= 0, preds, 0)
-            hit = (self.trans[prev_labels[clipped], labels[:, None]], clipped, preds >= 0)
-            self._cache[key] = hit
-        return hit
+def _forward(graph: Lattice, emit, edge, start, reduce) -> np.ndarray:
+    """Forward table (T, S + 1); the extra column stays -inf so that a
+    -1 link padding gathers a -inf score."""
+    T, S = emit.shape
+    alpha = np.full((T, S + 1), NEG_INF)
+    alpha[0, :S] = start + emit[0]
+    for t in range(1, T):
+        alpha[t, :S] = emit[t] + reduce(alpha[t - 1, graph.preds] + edge, axis=0)
+    return alpha
 
 
 def forward_score(
-    graph: UnfoldedGraph, emissions, transitions: TransitionTable, mode: str = "logadd"
-) -> tuple[float, list]:
+    graph: Lattice, emissions, transitions: TransitionTable, mode: str = "logadd"
+) -> tuple[float, np.ndarray]:
     """Accumulate path scores over the graph.
 
     mode="logadd" gives the Forward score (log-sum-exp over all accepted
     paths); mode="max" gives the best-path (Viterbi) score.  Returns the
-    score and the per-frame forward tables.
+    score and the (T, S) forward table.
     """
     if mode not in ("logadd", "max"):
         raise CriterionError(f"unknown mode {mode!r}")
-    f = _as_scores(emissions)
-    _check_shapes(graph, f, transitions)
-    reduce = np.logaddexp.reduce if mode == "logadd" else np.max
-    cache = _EdgeCache(transitions.trans)
-    alphas: list[np.ndarray] = []
-    alpha = transitions.start[graph.frame_labels[0]] + f[0, graph.frame_labels[0]]
-    alphas.append(alpha)
-    for t in range(1, graph.num_frames):
-        lab = graph.frame_labels[t]
-        edge, clipped, valid = cache.gather(
-            graph.frame_preds[t], graph.frame_labels[t - 1], lab
-        )
-        scores = np.where(valid, alpha[clipped] + edge, NEG_INF)
-        alpha = f[t, lab] + reduce(scores, axis=1)
-        alphas.append(alpha)
-    final = alpha[graph.accepting]
+    emit, edge, start = _state_scores(graph, emissions, transitions)
+    reduce = _lse if mode == "logadd" else np.maximum.reduce
+    alpha = _forward(graph, emit, edge, start, reduce)[:, :-1]
+    final = alpha[-1, graph.accepting]
     score = logadd(final) if mode == "logadd" else float(np.max(final))
-    return score, alphas
+    return score, alpha
 
 
-def viterbi(graph: UnfoldedGraph, emissions, transitions: TransitionTable):
+def viterbi(graph: Lattice, emissions, transitions: TransitionTable):
     """Best accepted frame labeling and its score.
 
     Ties break toward the lowest state index, both among predecessors
     and among accepting states.
     """
-    f = _as_scores(emissions)
-    _check_shapes(graph, f, transitions)
-    cache = _EdgeCache(transitions.trans)
-    alpha = transitions.start[graph.frame_labels[0]] + f[0, graph.frame_labels[0]]
-    alphas = [alpha]
-    back: list[np.ndarray] = []
-    for t in range(1, graph.num_frames):
-        lab = graph.frame_labels[t]
-        preds = graph.frame_preds[t]
-        edge, clipped, valid = cache.gather(preds, graph.frame_labels[t - 1], lab)
-        scores = np.where(valid, alpha[clipped] + edge, NEG_INF)
-        choice = np.argmax(scores, axis=1)
-        back.append(clipped[np.arange(len(lab)), choice])
-        alpha = f[t, lab] + scores[np.arange(len(lab)), choice]
-        alphas.append(alpha)
-    final = alphas[-1][graph.accepting]
-    best = int(graph.accepting[int(np.argmax(final))])
-    score = float(np.max(final))
-    states = [best]
-    for t in range(graph.num_frames - 1, 0, -1):
-        states.append(int(back[t - 1][states[-1]]))
+    emit, edge, start = _state_scores(graph, emissions, transitions)
+    T, S = emit.shape
+    cols = np.arange(S)
+    alpha = np.append(start + emit[0], NEG_INF)
+    back = np.zeros((T, S), dtype=np.int64)
+    for t in range(1, T):
+        scores = alpha[graph.preds] + edge
+        choice = np.argmax(scores, axis=0)  # first maximum: lowest state
+        back[t] = graph.preds[choice, cols]
+        alpha[:S] = emit[t] + scores[choice, cols]
+    final = np.where(graph.accepting, alpha[:S], NEG_INF)
+    states = [int(np.argmax(final))]
+    score = float(final[states[0]])
+    for t in range(T - 1, 0, -1):
+        states.append(int(back[t, states[-1]]))
     states.reverse()
-    path = [int(graph.frame_labels[t][s]) for t, s in enumerate(states)]
-    return path, score
+    return [int(x) for x in graph.labels[states]], score
 
 
 @dataclass
@@ -424,77 +350,45 @@ class _FBResult:
     start_marginals: np.ndarray  # (L,)
 
 
-def forward_backward(graph: UnfoldedGraph, emissions, transitions: TransitionTable) -> _FBResult:
+def forward_backward(graph: Lattice, emissions, transitions: TransitionTable) -> _FBResult:
     """Forward score plus posterior marginals for states, transitions,
     and start scores (the exact gradient ingredients)."""
-    f = _as_scores(emissions)
-    _check_shapes(graph, f, transitions)
-    num_labels = f.shape[1]
-    cache = _EdgeCache(transitions.trans)
-    T = graph.num_frames
+    emit, edge, start = _state_scores(graph, emissions, transitions)
+    T, S = emit.shape
+    num_labels = transitions.num_labels
+    lab, preds, succs = graph.labels, graph.preds, graph.succs
 
-    alphas = [transitions.start[graph.frame_labels[0]] + f[0, graph.frame_labels[0]]]
-    for t in range(1, T):
-        lab = graph.frame_labels[t]
-        edge, clipped, valid = cache.gather(
-            graph.frame_preds[t], graph.frame_labels[t - 1], lab
-        )
-        scores = np.where(valid, alphas[-1][clipped] + edge, NEG_INF)
-        alphas.append(f[t, lab] + np.logaddexp.reduce(scores, axis=1))
-
-    betas = [None] * T
-    last = np.full(len(graph.frame_labels[-1]), NEG_INF)
-    last[graph.accepting] = 0.0
-    betas[T - 1] = last
-    succ_cache: dict = {}
-    for t in range(T - 2, -1, -1):
-        lab = graph.frame_labels[t]
-        succs = graph.frame_succs[t]
-        next_lab = graph.frame_labels[t + 1]
-        key = (id(succs), id(lab), id(next_lab))
-        hit = succ_cache.get(key)
-        if hit is None:
-            clipped = np.where(succs >= 0, succs, 0)
-            hit = (transitions.trans[lab[:, None], next_lab[clipped]], clipped, succs >= 0)
-            succ_cache[key] = hit
-        edge, clipped, valid = hit
-        scores = np.where(
-            valid, edge + f[t + 1, next_lab[clipped]] + betas[t + 1][clipped], NEG_INF
-        )
-        betas[t] = np.logaddexp.reduce(scores, axis=1)
-
-    log_z = logadd(alphas[-1][graph.accepting])
+    alpha = _forward(graph, emit, edge, start, _lse)
+    log_z = logadd(alpha[-1, :S][graph.accepting])
     if not np.isfinite(log_z):
         raise CriterionError("no accepted path has finite score")
 
+    succ_edge = transitions.trans[lab, lab[succs]]  # (Q, S)
+    beta = np.full((T, S + 1), NEG_INF)
+    beta[-1, :S] = np.where(graph.accepting, 0.0, NEG_INF)
+    ahead = np.full(S + 1, NEG_INF)  # emission plus backward score, -inf pad
+    for t in range(T - 2, -1, -1):
+        ahead[:S] = emit[t + 1] + beta[t + 1, :S]
+        beta[t, :S] = _lse(ahead[succs] + succ_edge, axis=0)
+
+    gamma = np.exp(alpha[:, :S] + beta[:, :S] - log_z)  # (T, S)
     label_marg = np.zeros((T, num_labels))
-    for t in range(T):
-        gamma = np.exp(alphas[t] + betas[t] - log_z)
-        np.add.at(label_marg[t], graph.frame_labels[t], gamma)
-
-    # frames sharing one link structure scatter into the same label pairs,
-    # so their masses accumulate densely first and scatter once at the end
-    trans_marg = np.zeros(num_labels * num_labels)
-    grouped: dict = {}
-    for t in range(1, T):
-        lab = graph.frame_labels[t]
-        prev_lab = graph.frame_labels[t - 1]
-        edge, clipped, valid = cache.gather(graph.frame_preds[t], prev_lab, lab)
-        log_m = alphas[t - 1][clipped] + edge + (f[t, lab] + betas[t])[:, None] - log_z
-        m = np.where(valid, np.exp(log_m), 0.0)
-        key = (id(graph.frame_preds[t]), id(prev_lab), id(lab))
-        entry = grouped.get(key)
-        if entry is None:
-            flat = prev_lab[clipped] * num_labels + lab[:, None]
-            grouped[key] = [flat, valid, m]
-        else:
-            entry[2] = entry[2] + m
-    for flat, valid, m in grouped.values():
-        np.add.at(trans_marg, flat[valid], m[valid])
-
+    np.add.at(label_marg.T, lab, gamma.T)
     start_marg = np.zeros(num_labels)
-    np.add.at(start_marg, graph.frame_labels[0], np.exp(alphas[0] + betas[0] - log_z))
-    return _FBResult(log_z, label_marg, trans_marg.reshape(num_labels, num_labels), start_marg)
+    np.add.at(start_marg, lab, gamma[0])
+
+    # posterior mass of every link summed over frames, scattered once
+    link = np.exp(
+        alpha[:-1, preds] + edge + (emit[1:] + beta[1:, :S])[:, None, :] - log_z
+    ).sum(axis=0)  # (P, S); -1 padding gathers -inf, so exp gives 0
+    valid = preds >= 0
+    trans_marg = np.zeros((num_labels, num_labels))
+    np.add.at(
+        trans_marg,
+        (lab[preds[valid]], np.broadcast_to(lab, preds.shape)[valid]),
+        link[valid],
+    )
+    return _FBResult(log_z, label_marg, trans_marg, start_marg)
 
 
 def ctc_loss(emissions, labels, blank_id: int, strict: bool = False) -> CriterionResult:
@@ -504,10 +398,8 @@ def ctc_loss(emissions, labels, blank_id: int, strict: bool = False) -> Criterio
     Transitions play no role, so their gradients are zero.
     """
     f = _as_scores(emissions)
-    if strict:
-        rows = np.array([logadd(row) for row in f])
-        if np.max(np.abs(rows)) > 1e-5:
-            raise CriterionError("emission rows are not normalized (logadd != 0)")
+    if strict and np.max(np.abs(_lse(f, 1))) > 1e-5:
+        raise CriterionError("emission rows are not normalized (logadd != 0)")
     graph = build_ctc_graph(labels, f.shape[0], blank_id)
     num_labels = f.shape[1]
     fb = forward_backward(graph, f, TransitionTable.zeros(num_labels))
@@ -538,35 +430,3 @@ def asg_loss(emissions, transitions: TransitionTable, labels) -> CriterionResult
         d_transitions=den.trans_marginals - num.trans_marginals,
         d_start=den.start_marginals - num.start_marginals,
     )
-
-
-def _default_threads() -> int:
-    return max(1, os.cpu_count() or 1)
-
-
-def asg_loss_batch(
-    emissions_list, transitions: TransitionTable, labels_list, threads: int | None = None
-) -> list[CriterionResult]:
-    """Evaluate independent (emissions, labels) pairs, optionally in
-    parallel.  Results do not depend on the thread count."""
-    if len(emissions_list) != len(labels_list):
-        raise CriterionError("batch emission/label counts differ")
-    workers = threads or _default_threads()
-    if workers == 1 or len(emissions_list) <= 1:
-        return [asg_loss(f, transitions, y) for f, y in zip(emissions_list, labels_list)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda fy: asg_loss(fy[0], transitions, fy[1]),
-                             zip(emissions_list, labels_list)))
-
-
-def ctc_loss_batch(
-    emissions_list, labels_list, blank_id: int, threads: int | None = None
-) -> list[CriterionResult]:
-    if len(emissions_list) != len(labels_list):
-        raise CriterionError("batch emission/label counts differ")
-    workers = threads or _default_threads()
-    if workers == 1 or len(emissions_list) <= 1:
-        return [ctc_loss(f, y, blank_id) for f, y in zip(emissions_list, labels_list)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda fy: ctc_loss(fy[0], fy[1], blank_id),
-                             zip(emissions_list, labels_list)))

@@ -29,24 +29,24 @@ def logadd_ref(values):
 
 
 def enumerate_graph_paths(graph):
-    """All frame labelings accepted by an UnfoldedGraph (walks successors)."""
-    T = graph.num_frames
-    accepting = set(int(a) for a in graph.accepting)
+    """All frame labelings accepted by a Lattice: every walk of
+    ``num_frames`` states along successor links from an initial state to
+    an accepting one."""
     paths = []
 
-    def extend(t, state, acc):
+    def extend(state, acc):
         acc = acc + [state]
-        if t == T - 1:
-            if state in accepting:
+        if len(acc) == graph.num_frames:
+            if graph.accepting[state]:
                 paths.append(acc)
             return
-        for q in graph.frame_succs[t][state]:
+        for q in graph.succs[:, state]:
             if q >= 0:
-                extend(t + 1, int(q), acc)
+                extend(int(q), acc)
 
-    for s in range(len(graph.frame_labels[0])):
-        extend(0, s, [])
-    return [[int(graph.frame_labels[t][s]) for t, s in enumerate(p)] for p in paths]
+    for s in np.flatnonzero(graph.initial):
+        extend(int(s), [])
+    return [[int(graph.labels[s]) for s in p] for p in paths]
 
 
 def enumerate_asg_paths(labels, num_frames):

@@ -44,7 +44,7 @@ class TestRun:
     def test_rows_and_percentiles(self):
         rows = run_bench(
             BenchConfig(frames=25, transcription=6, batch_sizes=(1, 2),
-                        repetitions=3, criteria=("asg",), threads=1, seed=1)
+                        repetitions=3, criteria=("asg",), seed=1)
         )
         assert [(r.criterion, r.batch) for r in rows] == [("asg", 1), ("asg", 2)]
         for r in rows:
@@ -55,9 +55,9 @@ class TestRun:
         # medians are stable: doubling the repetition count moves the
         # reported median by less than 20%
         base = BenchConfig(frames=150, transcription=40, batch_sizes=(1,),
-                           repetitions=5, criteria=("asg",), threads=1, seed=2)
+                           repetitions=5, criteria=("asg",), seed=2)
         doubled = BenchConfig(frames=150, transcription=40, batch_sizes=(1,),
-                              repetitions=10, criteria=("asg",), threads=1, seed=2)
+                              repetitions=10, criteria=("asg",), seed=2)
         m1 = run_bench(base)[0].median_ms
         m2 = run_bench(doubled)[0].median_ms
         assert abs(m1 - m2) / max(m1, m2) < 0.20
@@ -74,7 +74,7 @@ class TestRun:
     def test_csv_round_trip(self, tmp_path):
         rows = run_bench(
             BenchConfig(frames=20, transcription=5, batch_sizes=(2,),
-                        repetitions=3, criteria=("ctc",), threads=1, seed=4)
+                        repetitions=3, criteria=("ctc",), seed=4)
         )
         write_csv(rows, tmp_path / "b.csv")
         back = list(csv.DictReader(open(tmp_path / "b.csv")))

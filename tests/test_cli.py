@@ -300,7 +300,7 @@ class TestBenchCommand:
         code, out, _ = run(
             capsys, "bench", "--frames", "20", "--transcription-size", "5",
             "--batch-sizes", "1,2", "--repetitions", "3", "--criterion", "asg",
-            "--threads", "1", "--seed", "7", "--csv", tmp_path / "bench.csv",
+            "--seed", "7", "--csv", tmp_path / "bench.csv",
         )
         assert code == 0 and "criterion" in out
         rows = list(csv.DictReader(open(tmp_path / "bench.csv")))
@@ -324,7 +324,37 @@ class TestEnvOverride:
         monkeypatch.setenv("CONVASR_FRAMES", "9")
         code, out, _ = run(
             capsys, "bench", "--transcription-size", "3", "--batch-sizes", "1",
-            "--repetitions", "3", "--criterion", "asg", "--threads", "1",
+            "--repetitions", "3", "--criterion", "asg",
         )
         assert code == 0
         assert any(line.split()[2] == "9" for line in out.splitlines()[2:] if line.strip())
+
+    def test_malformed_value_is_usage_error_naming_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("CONVASR_BEAM_SIZE", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["decode", "--emissions", "e.bin", "--arpa", "lm.arpa"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "CONVASR_BEAM_SIZE" in err and "Traceback" not in err
+
+    def test_malformed_value_ignored_by_subcommands_without_the_flag(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("CONVASR_BEAM_SIZE", "abc")
+        (tmp_path / "ref.txt").write_text("cat\n")
+        code, out, _ = run(capsys, "ler", "--ref", tmp_path / "ref.txt", "--hyp", tmp_path / "ref.txt")
+        assert code == 0 and "LER 0.000000" in out
+
+    @pytest.mark.parametrize(
+        "name, raw, command",
+        [
+            ("CONVASR_MODE", "bogus", ["decode", "--emissions", "e.bin", "--arpa", "lm.arpa"]),
+            ("CONVASR_STRICT", "ture", ["loss", "--emissions", "e.bin", "--transcription", "a"]),
+        ],
+    )
+    def test_value_outside_accepted_set_is_usage_error(self, capsys, monkeypatch, name, raw, command):
+        # a choice flag or an on/off switch takes only the values it knows
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(SystemExit) as exc:
+            main(command)
+        assert exc.value.code == 2 and name in capsys.readouterr().err

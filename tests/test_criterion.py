@@ -11,13 +11,11 @@ from convasr.criterion import (
     InfeasibleError,
     TransitionTable,
     asg_loss,
-    asg_loss_batch,
     build_asg_graph,
     build_ctc_graph,
     build_full_graph,
     build_linear_graph,
     ctc_loss,
-    ctc_loss_batch,
     forward_score,
     log_softmax,
     logadd,
@@ -26,6 +24,11 @@ from convasr.criterion import (
 
 import oracles
 from conftest import random_label_sequence, random_transitions
+
+# (emission, transition) score multipliers: unit scale, and scales at
+# which exp() of an unshifted path score would overflow; loss checks
+# scale their tolerance with the emissions (1e-10 relative)
+SCORE_SCALES = [(1.0, 1.0), (1e3, 1e2)]
 
 
 class TestLogadd:
@@ -129,6 +132,26 @@ class TestGraphConstruction:
             for path in oracles.enumerate_graph_paths(g):
                 assert collapse_path(path, ab) == labels
 
+    def test_links_mirror_each_other_ascending(self):
+        # viterbi's tie-break reads "first maximum" as "lowest state", so
+        # every link column must list states ascending with padding last
+        graphs = [
+            build_ctc_graph([0, 0, 1], 6, blank_id=3),
+            build_asg_graph([0, 1, 2], 5),
+            build_full_graph(4, 2),
+            build_linear_graph([0, 1, 2, 3], [True, False, True, True], 4),
+        ]
+        for g in graphs:
+            S = len(g.labels)
+            back = {(int(p), s) for s in range(S) for p in g.preds[:, s] if p >= 0}
+            ahead = {(s, int(q)) for s in range(S) for q in g.succs[:, s] if q >= 0}
+            assert back == ahead
+            for links in (g.preds, g.succs):
+                for col in links.T:
+                    valid = col[col >= 0]
+                    assert list(valid) == sorted(valid)
+                    assert np.all(col[len(valid):] == -1)
+
     def test_linear_graph_empty_chain(self):
         with pytest.raises(InfeasibleError):
             build_linear_graph([], [], 3)
@@ -226,9 +249,15 @@ class TestViterbi:
 
     def test_tie_breaks_toward_lowest_state(self):
         # all-equal scores: the lowest-index accepted path must win
-        f = np.zeros((3, 3))
-        path, _ = viterbi(build_full_graph(3, 3), f, TransitionTable.zeros(3))
-        assert path == [0, 0, 0]
+        cases = [
+            (build_full_graph(3, 3), [0, 0, 0]),
+            (build_asg_graph([0, 1], 3), [0, 0, 1]),
+            (build_ctc_graph([0], 2, blank_id=2), [2, 0]),
+        ]
+        for graph, want in cases:
+            f = np.zeros((graph.num_frames, 3))
+            path, _ = viterbi(graph, f, TransitionTable.zeros(3))
+            assert path == want
 
 
 class TestCtcLoss:
@@ -248,20 +277,22 @@ class TestCtcLoss:
         assert abs(result.loss - want) < 1e-12
 
     def test_matches_bruteforce(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            T = int(rng.integers(1, 8))
-            L = int(rng.integers(2, 6))
-            labels = [int(rng.integers(0, L - 1)) for _ in range(rng.integers(1, 5))]
-            need = len(labels) + sum(
-                1 for i in range(len(labels) - 1) if labels[i] == labels[i + 1]
-            )
-            if need > T:
-                continue
-            f = log_softmax(rng.normal(size=(T, L)))
-            result = ctc_loss(f, labels, blank_id=L - 1)
-            want = oracles.ctc_loss_bruteforce(f, labels, L - 1)
-            assert abs(result.loss - want) < 1e-10
+        for emission_scale, _ in SCORE_SCALES:
+            rng = np.random.default_rng(11)
+            for _ in range(50):
+                T = int(rng.integers(1, 8))
+                L = int(rng.integers(2, 6))
+                labels = [int(rng.integers(0, L - 1)) for _ in range(rng.integers(1, 5))]
+                need = len(labels) + sum(
+                    1 for i in range(len(labels) - 1) if labels[i] == labels[i + 1]
+                )
+                if need > T:
+                    continue
+                f = log_softmax(emission_scale * rng.normal(size=(T, L)))
+                with np.errstate(over="raise", invalid="raise"):
+                    result = ctc_loss(f, labels, blank_id=L - 1)
+                    want = oracles.ctc_loss_bruteforce(f, labels, L - 1)
+                assert abs(result.loss - want) < 1e-10 * emission_scale
 
     def test_nonnegative_for_normalized_rows(self):
         rng = np.random.default_rng(12)
@@ -300,16 +331,18 @@ class TestAsgLoss:
         assert abs(result.loss - 2 * math.log(4.0)) < 1e-12
 
     def test_matches_bruteforce(self):
-        rng = np.random.default_rng(14)
-        for _ in range(50):
-            T = int(rng.integers(1, 7))
-            L = int(rng.integers(2, 5))
-            f = rng.normal(size=(T, L))
-            tr = random_transitions(rng, L, scale=0.5)
-            labels = random_label_sequence(rng, int(rng.integers(1, min(4, T) + 1)), L)
-            result = asg_loss(f, tr, labels)
-            want = oracles.asg_loss_bruteforce(f, tr.trans, tr.start, labels)
-            assert abs(result.loss - want) < 1e-8
+        for emission_scale, transition_scale in SCORE_SCALES:
+            rng = np.random.default_rng(14)
+            for _ in range(50):
+                T = int(rng.integers(1, 7))
+                L = int(rng.integers(2, 5))
+                f = emission_scale * rng.normal(size=(T, L))
+                tr = random_transitions(rng, L, scale=0.5 * transition_scale)
+                labels = random_label_sequence(rng, int(rng.integers(1, min(4, T) + 1)), L)
+                with np.errstate(over="raise", invalid="raise"):
+                    result = asg_loss(f, tr, labels)
+                    want = oracles.asg_loss_bruteforce(f, tr.trans, tr.start, labels)
+                assert abs(result.loss - want) < 1e-10 * emission_scale
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(15)
@@ -384,37 +417,6 @@ class TestAsgLoss:
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):
             asg_loss(np.zeros((2, 4)), TransitionTable.zeros(4), [0, 1, 2])
-
-
-class TestBatch:
-    def test_thread_count_does_not_change_results(self):
-        rng = np.random.default_rng(20)
-        L = 5
-        tr = random_transitions(rng, L)
-        emissions, labels = [], []
-        for _ in range(8):
-            T = int(rng.integers(3, 9))
-            emissions.append(rng.normal(size=(T, L)))
-            labels.append(random_label_sequence(rng, int(rng.integers(1, 4)), L))
-        serial = asg_loss_batch(emissions, tr, labels, threads=1)
-        parallel = asg_loss_batch(emissions, tr, labels, threads=4)
-        for a, b in zip(serial, parallel):
-            assert a.loss == b.loss
-            assert np.array_equal(a.d_emissions, b.d_emissions)
-            assert np.array_equal(a.d_transitions, b.d_transitions)
-
-    def test_ctc_batch(self):
-        rng = np.random.default_rng(21)
-        emissions = [log_softmax(rng.normal(size=(6, 4))) for _ in range(4)]
-        labels = [random_label_sequence(rng, 2, 3) for _ in range(4)]
-        serial = ctc_loss_batch(emissions, labels, blank_id=3, threads=1)
-        parallel = ctc_loss_batch(emissions, labels, blank_id=3, threads=3)
-        for a, b in zip(serial, parallel):
-            assert a.loss == b.loss
-
-    def test_length_mismatch(self):
-        with pytest.raises(CriterionError):
-            asg_loss_batch([np.zeros((2, 2))], TransitionTable.zeros(2), [])
 
 
 class TestEmissionTable:
