@@ -134,8 +134,9 @@ def conv1d_backward(
     d_b = d_y.sum(axis=0)
     d_x = np.zeros_like(x)
     contrib = np.tensordot(d_y, params.w, axes=([1], [0]))  # (T_y, d_in, kw)
-    idx = (layer.dw * np.arange(t_out)[:, None] + np.arange(layer.kw)[None, :]).ravel()
-    np.add.at(d_x, idx, contrib.transpose(0, 2, 1).reshape(-1, layer.d_in))
+    # high offsets first: each input row then sums its terms in output order
+    for k in reversed(range(layer.kw)):
+        d_x[k : k + layer.dw * t_out : layer.dw] += contrib[:, :, k]
     return d_x, d_w, d_b
 
 
@@ -179,8 +180,7 @@ def network_forward(
         raise AcousticError(
             f"network needs at least {need} input frames, got {x.shape[0]}"
         )
-    for layer, lp in zip(spec.layers, params.layers):
-        x = _nonlin_forward(conv1d_forward(x, layer, lp), layer.nonlinearity)
+    x, _ = network_forward_cached(x, spec, params)
     return EmissionTable.from_logits(x, normalize=normalize)
 
 

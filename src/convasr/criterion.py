@@ -16,6 +16,12 @@ Frame limits need no per-frame bookkeeping: a state that no path can
 reach by frame t holds a -inf forward score there, and one that cannot
 reach an accepting state in the frames left holds a -inf backward score.
 
+One recursion serves every pass.  The Forward score reduces with
+log-sum-exp over the predecessor links, Viterbi with max (its backtrace
+recomputes each argmax from the stored table), and the backward pass is
+the same forward pass over reversed time: successor links, reversed
+emissions, and the accepting states as its start.
+
 Scores accumulate as emission f[t, label] plus transition
 trans[prev_label, label] per step (a per-label start score replaces the
 transition at the first frame).  Losses return exact gradients computed
@@ -287,14 +293,15 @@ def _state_scores(graph: Lattice, emissions, tr: TransitionTable):
     return f[:, lab], tr.trans[lab[graph.preds], lab], start
 
 
-def _forward(graph: Lattice, emit, edge, start, reduce) -> np.ndarray:
-    """Forward table (T, S + 1); the extra column stays -inf so that a
-    -1 link padding gathers a -inf score."""
+def _forward(links, emit, edge, start, reduce) -> np.ndarray:
+    """Table (T, S + 1) of ``reduce`` over paths along ``links`` (a (K, S)
+    link matrix, ``edge`` its (K, S) scores); the extra column stays -inf
+    so that a -1 link padding gathers a -inf score."""
     T, S = emit.shape
     alpha = np.full((T, S + 1), NEG_INF)
     alpha[0, :S] = start + emit[0]
     for t in range(1, T):
-        alpha[t, :S] = emit[t] + reduce(alpha[t - 1, graph.preds] + edge, axis=0)
+        alpha[t, :S] = emit[t] + reduce(alpha[t - 1, links] + edge, axis=0)
     return alpha
 
 
@@ -311,7 +318,7 @@ def forward_score(
         raise CriterionError(f"unknown mode {mode!r}")
     emit, edge, start = _state_scores(graph, emissions, transitions)
     reduce = _lse if mode == "logadd" else np.maximum.reduce
-    alpha = _forward(graph, emit, edge, start, reduce)[:, :-1]
+    alpha = _forward(graph.preds, emit, edge, start, reduce)[:, :-1]
     final = alpha[-1, graph.accepting]
     score = logadd(final) if mode == "logadd" else float(np.max(final))
     return score, alpha
@@ -324,20 +331,16 @@ def viterbi(graph: Lattice, emissions, transitions: TransitionTable):
     and among accepting states.
     """
     emit, edge, start = _state_scores(graph, emissions, transitions)
-    T, S = emit.shape
-    cols = np.arange(S)
-    alpha = np.append(start + emit[0], NEG_INF)
-    back = np.zeros((T, S), dtype=np.int64)
-    for t in range(1, T):
-        scores = alpha[graph.preds] + edge
-        choice = np.argmax(scores, axis=0)  # first maximum: lowest state
-        back[t] = graph.preds[choice, cols]
-        alpha[:S] = emit[t] + scores[choice, cols]
-    final = np.where(graph.accepting, alpha[:S], NEG_INF)
-    states = [int(np.argmax(final))]
-    score = float(final[states[0]])
-    for t in range(T - 1, 0, -1):
-        states.append(int(back[t, states[-1]]))
+    preds = graph.preds
+    alpha = _forward(preds, emit, edge, start, np.maximum.reduce)
+    final = np.where(graph.accepting, alpha[-1, :-1], NEG_INF)
+    s = int(np.argmax(final))
+    score = float(final[s])
+    states = [s]
+    for t in range(emit.shape[0] - 1, 0, -1):
+        # preds is ascending, so the first maximum is the lowest state
+        s = int(preds[np.argmax(alpha[t - 1, preds[:, s]] + edge[:, s]), s])
+        states.append(s)
     states.reverse()
     return [int(x) for x in graph.labels[states]], score
 
@@ -358,20 +361,17 @@ def forward_backward(graph: Lattice, emissions, transitions: TransitionTable) ->
     num_labels = transitions.num_labels
     lab, preds, succs = graph.labels, graph.preds, graph.succs
 
-    alpha = _forward(graph, emit, edge, start, _lse)
+    alpha = _forward(preds, emit, edge, start, _lse)
     log_z = logadd(alpha[-1, :S][graph.accepting])
     if not np.isfinite(log_z):
         raise CriterionError("no accepted path has finite score")
 
+    # emission plus backward score: the forward pass over reversed time
+    end = np.where(graph.accepting, 0.0, NEG_INF)
     succ_edge = transitions.trans[lab, lab[succs]]  # (Q, S)
-    beta = np.full((T, S + 1), NEG_INF)
-    beta[-1, :S] = np.where(graph.accepting, 0.0, NEG_INF)
-    ahead = np.full(S + 1, NEG_INF)  # emission plus backward score, -inf pad
-    for t in range(T - 2, -1, -1):
-        ahead[:S] = emit[t + 1] + beta[t + 1, :S]
-        beta[t, :S] = _lse(ahead[succs] + succ_edge, axis=0)
+    ahead = _forward(succs, emit[::-1], succ_edge, end, _lse)[::-1]
 
-    gamma = np.exp(alpha[:, :S] + beta[:, :S] - log_z)  # (T, S)
+    gamma = np.exp(alpha[:, :S] + ahead[:, :S] - emit - log_z)  # (T, S)
     label_marg = np.zeros((T, num_labels))
     np.add.at(label_marg.T, lab, gamma.T)
     start_marg = np.zeros(num_labels)
@@ -379,7 +379,7 @@ def forward_backward(graph: Lattice, emissions, transitions: TransitionTable) ->
 
     # posterior mass of every link summed over frames, scattered once
     link = np.exp(
-        alpha[:-1, preds] + edge + (emit[1:] + beta[1:, :S])[:, None, :] - log_z
+        alpha[:-1, preds] + edge + ahead[1:, None, :S] - log_z
     ).sum(axis=0)  # (P, S); -1 padding gathers -inf, so exp gives 0
     valid = preds >= 0
     trans_marg = np.zeros((num_labels, num_labels))

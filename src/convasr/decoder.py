@@ -34,6 +34,7 @@ from .criterion import (
     TransitionTable,
     build_linear_graph,
     forward_score,
+    logadd,
 )
 from .lm import EOS, LN10, LexiconTrie, NGramLM, score_word, sentence_logprob
 
@@ -92,44 +93,25 @@ class DecodeResult:
         return len(self.words)
 
 
-def prune(frontier, cfg: DecoderConfig, scores=None):
-    """Beam thresholding then histogram-style count capping.
+def prune(frontier, cfg: DecoderConfig, root=None):
+    """Beam thresholding then a stable top-``beam_size`` count cap.
 
     Drops hypotheses below (frame best - beam_threshold), then keeps the
-    top ``beam_size`` by score; ties resolve in stable input order.
-    """
-    if not frontier:
-        return []
-    if scores is None:
-        scores = [h.total(cfg) for h in frontier]
-    best = max(scores)
-    cut = best - cfg.beam_threshold
-    kept = [i for i, s in enumerate(scores) if s >= cut]
-    if len(kept) > cfg.beam_size:
-        kept.sort(key=lambda i: (-scores[i], i))
-        kept = sorted(kept[: cfg.beam_size])
-    return [frontier[i] for i in kept]
-
-
-def _prune_frontier(frontier, cfg: DecoderConfig, root):
-    """Frame pruning inside the search.
-
-    The count cap applies to in-word hypotheses only: word-boundary
-    hypotheses (at the trie root) are the decodable outputs, their count
-    is bounded by LM states x labels, and discarding one can make a
-    wider beam fail where a narrower one succeeded.  The score threshold
-    still applies to everything.
+    top ``beam_size`` of the rest by score; ties resolve in stable input
+    order.  Hypotheses on the trie node ``root`` (word boundaries) escape
+    the cap: they are the decodable outputs, their count is bounded by LM
+    states x labels, and discarding one can make a wider beam fail where
+    a narrower one succeeded.  The threshold still applies to them.
     """
     if not frontier:
         return []
     scores = [h.total(cfg) for h in frontier]
-    best = max(scores)
-    cut = best - cfg.beam_threshold
+    cut = max(scores) - cfg.beam_threshold
     kept = [i for i, s in enumerate(scores) if s >= cut]
-    in_word = [i for i in kept if frontier[i].node is not root]
-    if len(in_word) > cfg.beam_size:
-        in_word.sort(key=lambda i: (-scores[i], i))
-        dropped = set(in_word[cfg.beam_size :])
+    capped = [i for i in kept if root is None or frontier[i].node is not root]
+    if len(capped) > cfg.beam_size:
+        capped.sort(key=lambda i: (-scores[i], i))
+        dropped = set(capped[cfg.beam_size :])
         kept = [i for i in kept if i not in dropped]
     return [frontier[i] for i in kept]
 
@@ -201,37 +183,29 @@ def decode(
         )
     if transitions.num_labels != f.shape[1]:
         raise DecodeError("transition table does not match the emission labels")
-    trans, start = transitions.trans, transitions.start
     root = lexicon.root
-    state0 = lm.start_state()
-
-    frontier: list[Hypothesis] = []
-    if cfg.silence != "none":
-        frontier.append(Hypothesis(root, state0, sil, start[sil] + f[0, sil], 0.0, 0.0, ()))
-    for gid, child in sorted(root.children.items()):
-        hyp = Hypothesis(
-            child, state0, gid, start[gid] + f[0, gid], 0.0, child.smeared, ()
-        )
-        frontier.append(hyp)
-        _commit_words(hyp, lexicon, lm, frontier)
-    frontier = _prune_frontier(_merge(frontier, cfg), cfg, root)
-
-    for t in range(1, f.shape[0]):
+    # the search starts from one root hypothesis on a virtual label whose
+    # transition row is the start score, so frame 0 expands like the rest
+    begin = f.shape[1]
+    trans = np.vstack([transitions.trans, transitions.start])
+    frontier = [Hypothesis(root, lm.start_state(), begin, 0.0, 0.0, 0.0, ())]
+    for t in range(f.shape[0]):
         new: list[Hypothesis] = []
         for hyp in frontier:
             last = hyp.last_label
-            # stay on the current grapheme
-            new.append(
-                Hypothesis(
-                    hyp.node,
-                    hyp.lm_state,
-                    last,
-                    hyp.acoustic + trans[last, last] + f[t, last],
-                    hyp.lm10,
-                    hyp.smear10,
-                    hyp.words,
+            # stay on the current grapheme (the virtual start label has none)
+            if last != begin:
+                new.append(
+                    Hypothesis(
+                        hyp.node,
+                        hyp.lm_state,
+                        last,
+                        hyp.acoustic + trans[last, last] + f[t, last],
+                        hyp.lm10,
+                        hyp.smear10,
+                        hyp.words,
+                    )
                 )
-            )
             at_root = hyp.node is root
             # silence between words
             if at_root and cfg.silence != "none" and last != sil:
@@ -246,8 +220,9 @@ def decode(
                         hyp.words,
                     )
                 )
-            # advance deeper into the trie (or into a new word from the root)
-            if at_root and cfg.silence == "mandatory" and last != sil:
+            # advance deeper into the trie (or into a new word from the
+            # root, which after a word needs silence first when mandatory)
+            if at_root and cfg.silence == "mandatory" and last not in (sil, begin):
                 continue
             for gid, child in sorted(hyp.node.children.items()):
                 if gid == last:
@@ -265,35 +240,31 @@ def decode(
                 )
                 new.append(adv)
                 _commit_words(adv, lexicon, lm, new)
-        frontier = _prune_frontier(_merge(new, cfg), cfg, root)
+        frontier = prune(_merge(new, cfg), cfg, root)
 
-    complete: dict[tuple, DecodeResult] = {}
+    # the words of a complete hypothesis fix its LM state and score, so
+    # hypotheses sharing words differ only in acoustic score
+    complete: dict[tuple, list] = {}
     for hyp in frontier:
-        if hyp.node is not root:
-            continue
-        lm10 = hyp.lm10
-        if EOS in lm.vocab:
-            s, _ = score_word(lm, hyp.lm_state, EOS)
-            lm10 += s
-        total = hyp.acoustic + cfg.alpha * LN10 * lm10 + cfg.beta * len(hyp.words)
-        old = complete.get(hyp.words)
-        if old is None:
-            complete[hyp.words] = DecodeResult(
-                [lexicon.words[w] for w in hyp.words], total, hyp.acoustic, LN10 * lm10
-            )
-        elif cfg.mode == "max":
-            if total > old.score:
-                complete[hyp.words] = DecodeResult(old.words, total, hyp.acoustic, old.lm)
-        else:
-            acoustic = float(np.logaddexp(old.acoustic, hyp.acoustic))
-            score = acoustic + cfg.alpha * old.lm + cfg.beta * len(old.words)
-            complete[hyp.words] = DecodeResult(old.words, score, acoustic, old.lm)
+        if hyp.node is root:
+            complete.setdefault(hyp.words, []).append(hyp)
     if not complete:
         raise DecodeError(
             "no complete hypothesis survived decoding "
             "(beam too narrow, threshold too tight, or utterance too short)"
         )
-    results = sorted(complete.values(), key=lambda r: -r.score)
+    results = []
+    for words, hyps in complete.items():
+        scores = [h.acoustic for h in hyps]
+        acoustic = max(scores) if cfg.mode == "max" else logadd(scores)
+        lm10 = hyps[0].lm10
+        if EOS in lm.vocab:
+            lm10 += score_word(lm, hyps[0].lm_state, EOS)[0]
+        total = acoustic + cfg.alpha * LN10 * lm10 + cfg.beta * len(words)
+        results.append(
+            DecodeResult([lexicon.words[w] for w in words], total, acoustic, LN10 * lm10)
+        )
+    results.sort(key=lambda r: -r.score)
     return results[:nbest]
 
 

@@ -95,6 +95,37 @@ class TestConvBackward:
         d_x, d_w, d_b = conv1d_backward(x, layer, params, np.zeros((4, 2)))
         assert not d_x.any() and not d_w.any() and not d_b.any()
 
+    def test_input_gradient_matches_naive_loop(self):
+        rng = np.random.default_rng(4)
+        # fixed: strides past the kernel (gap rows) and trailing rows that
+        # no window covers; then random shapes
+        shapes = [(ConvLayerSpec(2, 3, 2, 5), 13), (ConvLayerSpec(1, 2, 1, 3), 8)]
+        for _ in range(20):
+            layer = ConvLayerSpec(
+                int(rng.integers(1, 4)),
+                int(rng.integers(1, 4)),
+                int(rng.integers(1, 5)),
+                int(rng.integers(1, 6)),
+            )
+            shapes.append((layer, layer.kw + int(rng.integers(0, 12))))
+        for layer, t_in in shapes:
+            t_out = (t_in - layer.kw) // layer.dw + 1
+            x = rng.normal(size=(t_in, layer.d_in))
+            params = LayerParams(
+                rng.normal(size=(layer.d_out, layer.d_in, layer.kw)),
+                rng.normal(size=layer.d_out),
+            )
+            d_y = rng.normal(size=(t_out, layer.d_out))
+            want = np.zeros_like(x)
+            covered = np.zeros(t_in, dtype=bool)
+            for t in range(t_out):
+                for k in range(layer.kw):
+                    want[layer.dw * t + k] += params.w[:, :, k].T @ d_y[t]
+                    covered[layer.dw * t + k] = True
+            d_x, _, _ = conv1d_backward(x, layer, params, d_y)
+            np.testing.assert_allclose(d_x, want, atol=1e-12)
+            assert not d_x[~covered].any()
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

@@ -240,12 +240,19 @@ class TestViterbi:
             f = rng.normal(size=(T, L))
             tr = random_transitions(rng, L, scale=1.0)
             n = int(rng.integers(1, min(4, T) + 1))
-            g = build_asg_graph(random_label_sequence(rng, n, L), T)
-            paths = oracles.enumerate_graph_paths(g)
-            scores = [oracles.path_score(p, f, tr.trans, tr.start) for p in paths]
-            path, score = viterbi(g, f, tr)
-            assert abs(score - max(scores)) < 1e-10
-            assert path in paths
+            labels = random_label_sequence(rng, n, L)
+            graphs = [build_asg_graph(labels, T)]
+            # the blank-interleaved lattice, blank L - 1, when it fits
+            ctc_labels = [x % (L - 1) for x in labels]
+            if T >= n + sum(a == b for a, b in zip(ctc_labels, ctc_labels[1:])):
+                graphs.append(build_ctc_graph(ctc_labels, T, blank_id=L - 1))
+            for g in graphs:
+                paths = oracles.enumerate_graph_paths(g)
+                scores = [oracles.path_score(p, f, tr.trans, tr.start) for p in paths]
+                path, score = viterbi(g, f, tr)
+                assert abs(score - max(scores)) < 1e-10
+                assert path in paths
+                assert abs(oracles.path_score(path, f, tr.trans, tr.start) - score) < 1e-10
 
     def test_tie_breaks_toward_lowest_state(self):
         # all-equal scores: the lowest-index accepted path must win

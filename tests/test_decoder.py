@@ -79,6 +79,30 @@ class TestPrune:
     def test_empty_frontier(self):
         assert prune([], self.cfg()) == []
 
+    def test_root_hypotheses_escape_the_cap(self):
+        rng = np.random.default_rng(1)
+        root = object()
+        for _ in range(100):
+            n = int(rng.integers(1, 30))
+            scores = list(np.round(rng.normal(size=n), 2))  # rounded: force ties
+            at_root = rng.random(n) < 0.5
+            beam = int(rng.integers(1, 6))
+            thr = float(rng.uniform(0.5, 5.0))
+            hyps = [
+                Hypothesis(root if r else object(), (), 0, s, 0.0, 0.0, ())
+                for s, r in zip(scores, at_root)
+            ]
+            kept = prune(hyps, self.cfg(beam_size=beam, beam_threshold=thr), root=root)
+            cut = max(scores) - thr
+            passing = [i for i in range(n) if scores[i] >= cut]
+            # every root hypothesis within the threshold, whatever the beam
+            want = {i for i in passing if at_root[i]}
+            in_word = sorted(
+                (i for i in passing if not at_root[i]), key=lambda i: (-scores[i], i)
+            )
+            want.update(in_word[:beam])
+            assert [id(h) for h in kept] == [id(hyps[i]) for i in sorted(want)]
+
 
 class TestDecodeBasics:
     def test_single_word_lexicon(self, tmp_path, alphabet):
