@@ -119,8 +119,10 @@ def _cmd_loss(args) -> int:
     print(f"{result.loss:.9g}")
     if args.grad_prefix:
         fileio.write_matrix(args.grad_prefix + ".demissions", result.d_emissions)
-        block = np.vstack([result.d_start[None, :], result.d_transitions])
-        fileio.write_matrix(args.grad_prefix + ".dtransitions", block)
+        fileio.write_transitions(
+            args.grad_prefix + ".dtransitions",
+            TransitionTable(result.d_transitions, result.d_start),
+        )
     return EXIT_OK
 
 

@@ -10,15 +10,16 @@ word boundaries too), the weighted language model, and a per-word term:
 
     total = acoustic + alpha * ln P_lm(words) + beta * |words|
 
-Each frame the frontier is merged on (trie node, LM state, last label)
-and pruned by beam threshold (drop anything below frame best minus the
-threshold) and beam size (stable top-k count cap over in-word
-hypotheses; word-boundary hypotheses survive the cap since they are the
-decodable outputs and their count is bounded).  In "max" mode merging
-keeps the best hypothesis, which makes an exhaustive beam an exact
-maximizer; "logadd" mode combines the acoustic mass of merged
-hypotheses, a lower bound on the all-paths objective unless the beam
-holds every hypothesis.
+Each frame the frontier is merged as it is built: every new hypothesis
+goes straight into one table keyed on (trie node, LM state, last
+label).  The table is then pruned by beam threshold (drop anything
+below frame best minus the threshold) and beam size (stable top-k count
+cap over in-word hypotheses; word-boundary hypotheses survive the cap
+since they are the decodable outputs and their count is bounded).  In
+"max" mode merging keeps the best hypothesis, which makes an exhaustive
+beam an exact maximizer; "logadd" mode combines the acoustic mass of
+merged hypotheses, a lower bound on the all-paths objective unless the
+beam holds every hypothesis.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 from .criterion import (
     InfeasibleError,
     TransitionTable,
+    _as_scores,
     build_linear_graph,
     forward_score,
     logadd,
@@ -93,7 +95,7 @@ class DecodeResult:
         return len(self.words)
 
 
-def prune(frontier, cfg: DecoderConfig, root=None):
+def prune(frontier, cfg: DecoderConfig, root):
     """Beam thresholding then a stable top-``beam_size`` count cap.
 
     Drops hypotheses below (frame best - beam_threshold), then keeps the
@@ -108,7 +110,7 @@ def prune(frontier, cfg: DecoderConfig, root=None):
     scores = [h.total(cfg) for h in frontier]
     cut = max(scores) - cfg.beam_threshold
     kept = [i for i, s in enumerate(scores) if s >= cut]
-    capped = [i for i in kept if root is None or frontier[i].node is not root]
+    capped = [i for i in kept if frontier[i].node is not root]
     if len(capped) > cfg.beam_size:
         capped.sort(key=lambda i: (-scores[i], i))
         dropped = set(capped[cfg.beam_size :])
@@ -116,44 +118,21 @@ def prune(frontier, cfg: DecoderConfig, root=None):
     return [frontier[i] for i in kept]
 
 
-def _commit_words(hyp: Hypothesis, lexicon: LexiconTrie, lm: NGramLM, out: list) -> None:
-    for wid in hyp.node.word_ids:
-        s, new_state = score_word(lm, hyp.lm_state, lexicon.words[wid])
-        out.append(
-            Hypothesis(
-                node=lexicon.root,
-                lm_state=new_state,
-                last_label=hyp.last_label,
-                acoustic=hyp.acoustic,
-                lm10=hyp.lm10 + s,
-                smear10=0.0,
-                words=hyp.words + (wid,),
-            )
+def _checked_scores(emissions, transitions: TransitionTable, lexicon: LexiconTrie) -> np.ndarray:
+    """The (T, L) emission scores, checked finite and against the model."""
+    f = _as_scores(emissions)
+    if f.shape[0] < 1:
+        raise DecodeError("empty emission table")
+    if lexicon.num_words == 0:
+        raise DecodeError("empty lexicon")
+    if f.shape[1] != len(lexicon.alphabet):
+        raise DecodeError(
+            f"emissions cover {f.shape[1]} labels but the lexicon alphabet "
+            f"has {len(lexicon.alphabet)}"
         )
-
-
-def _merge(frontier, cfg: DecoderConfig):
-    merged: dict = {}
-    for hyp in frontier:
-        key = (id(hyp.node), hyp.lm_state, hyp.last_label)
-        old = merged.get(key)
-        if old is None:
-            merged[key] = hyp
-        elif cfg.mode == "max":
-            if hyp.total(cfg) > old.total(cfg):
-                merged[key] = hyp
-        else:
-            keep, other = (hyp, old) if hyp.total(cfg) > old.total(cfg) else (old, hyp)
-            merged[key] = Hypothesis(
-                node=keep.node,
-                lm_state=keep.lm_state,
-                last_label=keep.last_label,
-                acoustic=float(np.logaddexp(keep.acoustic, other.acoustic)),
-                lm10=keep.lm10,
-                smear10=keep.smear10,
-                words=keep.words,
-            )
-    return list(merged.values())
+    if transitions.num_labels != f.shape[1]:
+        raise DecodeError("transition table does not match the emission labels")
+    return f
 
 
 def decode(
@@ -167,59 +146,53 @@ def decode(
     """Beam search for the best word sequences given emission scores.
 
     Returns up to ``nbest`` results sorted by descending total score.
-    Raises DecodeError when no complete hypothesis survives (beam or
-    threshold too tight, or the utterance cannot fit any word).
+    Raises CriterionError on non-finite emissions and DecodeError when
+    no complete hypothesis survives (beam or threshold too tight, or the
+    utterance cannot fit any word).
     """
-    f = emissions.scores if hasattr(emissions, "scores") else np.asarray(emissions, float)
-    if f.ndim != 2 or f.shape[0] < 1:
-        raise DecodeError("empty emission table")
-    if lexicon.num_words == 0:
-        raise DecodeError("empty lexicon")
+    f = _checked_scores(emissions, transitions, lexicon)
     sil = lexicon.alphabet.silence_id
-    if f.shape[1] != len(lexicon.alphabet):
-        raise DecodeError(
-            f"emissions cover {f.shape[1]} labels but the lexicon alphabet "
-            f"has {len(lexicon.alphabet)}"
-        )
-    if transitions.num_labels != f.shape[1]:
-        raise DecodeError("transition table does not match the emission labels")
     root = lexicon.root
     # the search starts from one root hypothesis on a virtual label whose
     # transition row is the start score, so frame 0 expands like the rest
     begin = f.shape[1]
-    trans = np.vstack([transitions.trans, transitions.start])
+    trans = np.vstack([transitions.trans, transitions.start]).tolist()
     frontier = [Hypothesis(root, lm.start_state(), begin, 0.0, 0.0, 0.0, ())]
-    for t in range(f.shape[0]):
-        new: list[Hypothesis] = []
+
+    # admit and extend work on the current frame's scores and merge table
+    def admit(hyp: Hypothesis) -> None:
+        # merge on (trie node, LM state, last label); the table keeps
+        # first-arrival order, which breaks ties in prune
+        key = (id(hyp.node), hyp.lm_state, hyp.last_label)
+        old = merged.get(key)
+        if old is None:
+            merged[key] = hyp
+        elif cfg.mode == "max":
+            if hyp.total(cfg) > old.total(cfg):
+                merged[key] = hyp
+        else:
+            keep, other = (hyp, old) if hyp.total(cfg) > old.total(cfg) else (old, hyp)
+            keep.acoustic = float(np.logaddexp(keep.acoustic, other.acoustic))
+            merged[key] = keep
+
+    def extend(hyp: Hypothesis, node, label: int, smear10: float) -> float:
+        """Admit ``hyp`` moved onto (node, label); returns its own acoustic
+        score, before any merge."""
+        acoustic = hyp.acoustic + trans[hyp.last_label][label] + frame[label]
+        admit(Hypothesis(node, hyp.lm_state, label, acoustic, hyp.lm10, smear10, hyp.words))
+        return acoustic
+
+    for frame in f.tolist():
+        merged: dict = {}
         for hyp in frontier:
             last = hyp.last_label
             # stay on the current grapheme (the virtual start label has none)
             if last != begin:
-                new.append(
-                    Hypothesis(
-                        hyp.node,
-                        hyp.lm_state,
-                        last,
-                        hyp.acoustic + trans[last, last] + f[t, last],
-                        hyp.lm10,
-                        hyp.smear10,
-                        hyp.words,
-                    )
-                )
+                extend(hyp, hyp.node, last, hyp.smear10)
             at_root = hyp.node is root
             # silence between words
             if at_root and cfg.silence != "none" and last != sil:
-                new.append(
-                    Hypothesis(
-                        root,
-                        hyp.lm_state,
-                        sil,
-                        hyp.acoustic + trans[last, sil] + f[t, sil],
-                        hyp.lm10,
-                        0.0,
-                        hyp.words,
-                    )
-                )
+                extend(hyp, root, sil, 0.0)
             # advance deeper into the trie (or into a new word from the
             # root, which after a word needs silence first when mandatory)
             if at_root and cfg.silence == "mandatory" and last not in (sil, begin):
@@ -229,18 +202,13 @@ def decode(
                     # indistinguishable from staying: identical letters
                     # need silence (or another word) in between
                     continue
-                adv = Hypothesis(
-                    child,
-                    hyp.lm_state,
-                    gid,
-                    hyp.acoustic + trans[last, gid] + f[t, gid],
-                    hyp.lm10,
-                    child.smeared,
-                    hyp.words,
-                )
-                new.append(adv)
-                _commit_words(adv, lexicon, lm, new)
-        frontier = prune(_merge(new, cfg), cfg, root)
+                acoustic = extend(hyp, child, gid, child.smeared)
+                # a word ends here: a committed copy goes back to the root
+                for wid in child.word_ids:
+                    s, state = score_word(lm, hyp.lm_state, lexicon.words[wid])
+                    words = hyp.words + (wid,)
+                    admit(Hypothesis(root, state, gid, acoustic, hyp.lm10 + s, 0.0, words))
+        frontier = prune(list(merged.values()), cfg, root)
 
     # the words of a complete hypothesis fix its LM state and score, so
     # hypotheses sharing words differ only in acoustic score
@@ -315,11 +283,7 @@ def exhaustive_decode(
     plus the weighted language model and per-word terms.  Refuses
     instances beyond vocabulary 5 / 8 frames / 5 words.
     """
-    f = emissions.scores if hasattr(emissions, "scores") else np.asarray(emissions, float)
-    if f.ndim != 2 or f.shape[0] < 1:
-        raise DecodeError("empty emission table")
-    if lexicon.num_words == 0:
-        raise DecodeError("empty lexicon")
+    f = _checked_scores(emissions, transitions, lexicon)
     if lexicon.num_words > 5 or f.shape[0] > 8 or max_words > 5:
         raise ValueError(
             "exhaustive decoding is a tiny-instance oracle "

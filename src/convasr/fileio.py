@@ -21,6 +21,8 @@ block.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -44,18 +46,29 @@ def write_matrix(path, array, stride_ms: float = 0.0, window_ms: float = 0.0) ->
         f.write(array.tobytes())
 
 
+def _read_exact(f, n: int, error: str) -> bytes:
+    """Read exactly ``n`` bytes or raise FormatError(error).
+
+    A size declared by a header is checked against what is left of a
+    regular file before anything is allocated for it.
+    """
+    st = os.fstat(f.fileno())
+    if stat.S_ISREG(st.st_mode) and n > st.st_size - f.tell():
+        raise FormatError(error)
+    data = f.read(n)
+    if len(data) != n:
+        raise FormatError(error)
+    return data
+
+
 def read_matrix(path) -> tuple[np.ndarray, float, float]:
     """Returns (float32 array, stride_ms, window_ms)."""
     with open(path, "rb") as f:
-        header = f.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise FormatError(f"{path}: truncated header")
+        header = _read_exact(f, _HEADER.size, f"{path}: truncated header")
         magic, rows, cols, stride_ms, window_ms = _HEADER.unpack(header)
         if magic != MATRIX_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}")
-        data = f.read(4 * rows * cols)
-        if len(data) != 4 * rows * cols:
-            raise FormatError(f"{path}: expected {rows}x{cols} float32 payload")
+        data = _read_exact(f, 4 * rows * cols, f"{path}: expected {rows}x{cols} float32 payload")
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
     array = np.frombuffer(data, dtype="<f4").reshape(rows, cols)
@@ -73,20 +86,27 @@ def read_features(path):
     return FeatureSequence(frames.astype(np.float64), stride_ms, window_ms)
 
 
-def write_transitions(path, table) -> None:
-    block = np.vstack([table.start[None, :], table.trans])
-    write_matrix(path, block)
+def _transition_block(table) -> np.ndarray:
+    return np.vstack([table.start[None, :], table.trans])
 
 
-def read_transitions(path):
+def _transition_table(block):
     from .criterion import TransitionTable
 
-    block, _, _ = read_matrix(path)
-    if block.shape[0] != block.shape[1] + 1:
-        raise FormatError(f"{path}: transition block must be (L+1) x L")
     return TransitionTable(
         trans=block[1:].astype(np.float64), start=block[0].astype(np.float64)
     )
+
+
+def write_transitions(path, table) -> None:
+    write_matrix(path, _transition_block(table))
+
+
+def read_transitions(path):
+    block, _, _ = read_matrix(path)
+    if block.shape[0] != block.shape[1] + 1:
+        raise FormatError(f"{path}: transition block must be (L+1) x L")
+    return _transition_table(block)
 
 
 _NONLIN_CODES = {"hardtanh": 0, "tanh": 1, "relu": 2, "none": 3}
@@ -110,20 +130,16 @@ def save_checkpoint(path, spec, params, transitions) -> None:
             )
             f.write(np.ascontiguousarray(lp.w, dtype="<f4").tobytes())
             f.write(np.ascontiguousarray(lp.b, dtype="<f4").tobytes())
-        block = np.vstack([transitions.start[None, :], transitions.trans])
+        block = _transition_block(transitions)
         f.write(struct.pack("<I", block.shape[1]))
         f.write(np.ascontiguousarray(block, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path):
     from .acoustic import ConvLayerSpec, LayerParams, ModelParams, NetworkSpec
-    from .criterion import TransitionTable
 
     def read_exact(f, n, what):
-        data = f.read(n)
-        if len(data) != n:
-            raise FormatError(f"{path}: truncated {what}")
-        return data
+        return _read_exact(f, n, f"{path}: truncated {what}")
 
     with open(path, "rb") as f:
         if read_exact(f, 4, "magic") != CHECKPOINT_MAGIC:
@@ -146,7 +162,4 @@ def load_checkpoint(path):
         ).reshape(n_labels + 1, n_labels)
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
-    transitions = TransitionTable(
-        trans=block[1:].astype(np.float64), start=block[0].astype(np.float64)
-    )
-    return NetworkSpec(layers), ModelParams(lparams), transitions
+    return NetworkSpec(layers), ModelParams(lparams), _transition_table(block)

@@ -25,7 +25,7 @@ from .acoustic import (
     network_backward,
     network_forward_cached,
 )
-from .criterion import TransitionTable, asg_loss, build_full_graph, viterbi
+from .criterion import TransitionTable, _as_scores, asg_loss, build_full_graph, viterbi
 from .features import Waveform, mfcc, normalize
 from .metrics import levenshtein
 
@@ -113,7 +113,7 @@ def _clip_gradients(arrays, clip_norm: float) -> None:
 
 def greedy_transcribe(emissions, transitions: TransitionTable, alphabet: Alphabet) -> str:
     """Best unconstrained path, collapsed and decoded leniently."""
-    scores = emissions.scores if hasattr(emissions, "scores") else emissions
+    scores = _as_scores(emissions)
     full = build_full_graph(scores.shape[1], scores.shape[0])
     path, _ = viterbi(full, scores, transitions)
     return decode_labels(collapse_path(path, alphabet), alphabet, strict=False)

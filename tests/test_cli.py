@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -89,6 +90,9 @@ class TestLossCommand:
         )
         got_d, _, _ = fileio.read_matrix(str(tmp_path / "g") + ".demissions")
         np.testing.assert_array_equal(got_d, want.d_emissions.astype(np.float32))
+        got_tr = fileio.read_transitions(str(tmp_path / "g") + ".dtransitions")
+        np.testing.assert_array_equal(got_tr.trans, want.d_transitions.astype(np.float32))
+        np.testing.assert_array_equal(got_tr.start, want.d_start.astype(np.float32))
         assert f"{want.loss:.9g}" == out.strip()
 
     def test_ctc_mode(self, tmp_path, capsys):
@@ -119,6 +123,15 @@ class TestLossCommand:
         )
         assert code == 0
         assert out.strip() == "13.9884674"
+
+    def test_oversized_header_is_error_exit(self, tmp_path, capsys):
+        header = struct.pack("<4sIIff", b"FSQ1", 2**32 - 1, 2**32 - 1, 0.0, 0.0)
+        (tmp_path / "e.bin").write_bytes(header + b"\0" * 16)
+        code, _, err = run(
+            capsys, "loss", "--emissions", tmp_path / "e.bin", "--transcription", "a"
+        )
+        assert code == 1 and err.startswith("error:") and "payload" in err
+        assert "Traceback" not in err
 
     def test_infeasible_is_error_exit(self, tmp_path, capsys):
         fileio.write_matrix(tmp_path / "e.bin", np.zeros((1, 30), dtype=np.float32))
@@ -259,6 +272,19 @@ class TestDecodeCommand:
             "--lexicon", tmp_path / "lex.txt", "--alphabet", tmp_path / "ab.txt",
         )
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_emissions_are_input_errors(self, tmp_path, capsys, bad):
+        alphabet = self.setup_fixture(tmp_path)
+        f, _, _ = fileio.read_matrix(tmp_path / "e.bin")
+        f[2, alphabet.index["a"]] = bad
+        fileio.write_matrix(tmp_path / "bad.bin", f)
+        code, out, err = run(
+            capsys, "decode", "--emissions", tmp_path / "bad.bin", "--arpa", tmp_path / "lm.arpa",
+            "--lexicon", tmp_path / "lex.txt", "--alphabet", tmp_path / "ab.txt",
+        )
+        assert code == 1 and out == "" and err.startswith("error:") and "finite" in err
+        assert "Traceback" not in err
 
     def test_pruning_failure_exit_code(self, tmp_path, capsys):
         alphabet = self.setup_fixture(tmp_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from convasr.alphabet import make_alphabet
-from convasr.criterion import TransitionTable
+from convasr.criterion import CriterionError, TransitionTable
 from convasr.decoder import (
     DecodeError,
     DecodeResult,
@@ -40,6 +40,9 @@ def exhaustive_cfg(**kw):
 
 
 class TestPrune:
+    # a root no hypothesis sits on: the count cap applies to every one
+    off_root = object()
+
     def cfg(self, **kw):
         return DecoderConfig(**kw)
 
@@ -49,19 +52,19 @@ class TestPrune:
 
     def test_all_equal_within_beam_unchanged(self):
         hyps = self.hyps([1.0] * 5)
-        assert prune(hyps, self.cfg(beam_size=5)) == hyps
+        assert prune(hyps, self.cfg(beam_size=5), self.off_root) == hyps
 
     def test_top_k_with_infinite_threshold(self):
         scores = [3.0, 1.0, 2.0, 5.0, 4.0]
         hyps = self.hyps(scores)
-        kept = prune(hyps, self.cfg(beam_size=2))
+        kept = prune(hyps, self.cfg(beam_size=2), self.off_root)
         assert [h.acoustic for h in kept] == [5.0, 4.0] or [h.acoustic for h in kept] == [3.0, 5.0]
         # exact selection: the two best, in stable (input) order
         assert sorted(h.acoustic for h in kept) == [4.0, 5.0]
 
     def test_threshold_drops_far_hypotheses(self):
         hyps = self.hyps([0.0, -5.0, -1.0])
-        kept = prune(hyps, self.cfg(beam_size=10, beam_threshold=2.0))
+        kept = prune(hyps, self.cfg(beam_size=10, beam_threshold=2.0), self.off_root)
         assert [h.acoustic for h in kept] == [0.0, -1.0]
 
     def test_matches_sort_based_reference(self):
@@ -72,12 +75,12 @@ class TestPrune:
             beam = int(rng.integers(1, 10))
             thr = float(rng.uniform(0.5, 5.0))
             hyps = self.hyps(scores)
-            kept = prune(hyps, self.cfg(beam_size=beam, beam_threshold=thr))
+            kept = prune(hyps, self.cfg(beam_size=beam, beam_threshold=thr), self.off_root)
             want = oracles.sort_based_prune(hyps, scores, beam, thr)
             assert kept == want
 
     def test_empty_frontier(self):
-        assert prune([], self.cfg()) == []
+        assert prune([], self.cfg(), self.off_root) == []
 
     def test_root_hypotheses_escape_the_cap(self):
         rng = np.random.default_rng(1)
@@ -141,6 +144,17 @@ class TestDecodeBasics:
         empty = build_lexicon([], alphabet)
         with pytest.raises(DecodeError, match="empty lexicon"):
             decode(np.zeros((3, len(alphabet))), TransitionTable.zeros(len(alphabet)), lm, empty, exhaustive_cfg())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_emissions_rejected(self, tmp_path, alphabet, bad):
+        rng = np.random.default_rng(12)
+        lm, lexicon = make_setup(tmp_path, ["ab", "cad"], rng, alphabet)
+        L = len(alphabet)
+        f = rng.normal(size=(5, L))
+        f[2, alphabet.index["a"]] = bad
+        for search in (decode, lambda *args: exhaustive_decode(*args, 2)):
+            with pytest.raises(CriterionError, match="finite"):
+                search(f, TransitionTable.zeros(L), lm, lexicon, exhaustive_cfg())
 
     def test_label_count_mismatch_rejected(self, tmp_path, alphabet):
         rng = np.random.default_rng(5)

@@ -1,3 +1,7 @@
+import os
+import struct
+import threading
+
 import numpy as np
 import pytest
 
@@ -55,6 +59,27 @@ class TestMatrixFormat:
         with pytest.raises(FormatError, match="trailing"):
             read_matrix(tmp_path / "x.bin")
 
+    @pytest.mark.parametrize("rows, cols", [(2**32 - 1, 2**32 - 1), (200_000, 200_000)])
+    def test_oversized_header_rejected_before_reading(self, tmp_path, rows, cols):
+        header = struct.pack("<4sIIff", b"FSQ1", rows, cols, 0.0, 0.0)
+        (tmp_path / "x.bin").write_bytes(header + b"\0" * 16)
+        with pytest.raises(FormatError, match="payload"):
+            read_matrix(tmp_path / "x.bin")
+
+    def test_reads_from_a_pipe(self, tmp_path):
+        # a pipe has no size to check the header against; it is read as is
+        arr = np.arange(6, dtype=np.float32).reshape(2, 3)
+        write_matrix(tmp_path / "x.bin", arr)
+        os.mkfifo(tmp_path / "pipe")
+        writer = threading.Thread(
+            target=lambda: (tmp_path / "pipe").write_bytes((tmp_path / "x.bin").read_bytes())
+        )
+        writer.start()
+        back, _, _ = read_matrix(tmp_path / "pipe")
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        np.testing.assert_array_equal(back, arr)
+
     def test_only_2d(self, tmp_path):
         with pytest.raises(FormatError):
             write_matrix(tmp_path / "x.bin", np.zeros(5))
@@ -109,6 +134,7 @@ class TestCheckpoint:
             np.testing.assert_array_equal(a.w.astype(np.float32), b.w.astype(np.float32))
             np.testing.assert_array_equal(a.b.astype(np.float32), b.b.astype(np.float32))
         np.testing.assert_array_equal(tr2.trans, tr.trans)
+        np.testing.assert_array_equal(tr2.start, tr.start)
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "x.ckpt").write_bytes(b"WHAT\0\0\0\0")
@@ -123,3 +149,9 @@ class TestCheckpoint:
         (tmp_path / "y.ckpt").write_bytes(data[:-4])
         with pytest.raises(FormatError, match="truncated"):
             load_checkpoint(tmp_path / "y.ckpt")
+
+    def test_oversized_layer_header_rejected_before_reading(self, tmp_path):
+        header = struct.pack("<4sI5I", b"CKP1", 1, 2**32 - 1, 2**32 - 1, 2**32 - 1, 1, 0)
+        (tmp_path / "x.ckpt").write_bytes(header + b"\0" * 64)
+        with pytest.raises(FormatError, match="truncated weights"):
+            load_checkpoint(tmp_path / "x.ckpt")
