@@ -145,6 +145,9 @@ def _cmd_viterbi(args) -> int:
 
 
 _TRAIN_REQUIRED = ("num_samples", "epochs", "learning_rate", "seed", "checkpoint", "curve")
+# the config keys each dataclass takes; absent ones keep its defaults
+_TASK_KEYS = ("letters", "num_samples", "min_word_len", "max_word_len", "seed")
+_TRAIN_KEYS = ("epochs", "learning_rate", "clip_norm", "holdout_fraction", "seed", "stop_ler")
 
 
 def _cmd_train_toy(args) -> int:
@@ -153,13 +156,7 @@ def _cmd_train_toy(args) -> int:
     for key in _TRAIN_REQUIRED:
         if key not in cfg:
             raise ValueError(f"config is missing required key {key!r}")
-    task = training.ToyTaskConfig(
-        letters=cfg.get("letters", "abcde"),
-        num_samples=cfg["num_samples"],
-        min_word_len=cfg.get("min_word_len", 2),
-        max_word_len=cfg.get("max_word_len", 5),
-        seed=cfg["seed"],
-    )
+    task = training.ToyTaskConfig(**{k: cfg[k] for k in _TASK_KEYS if k in cfg})
     alphabet, data = training.make_toy_dataset(task)
     if "layers" in cfg:
         spec = acoustic.NetworkSpec(
@@ -167,14 +164,7 @@ def _cmd_train_toy(args) -> int:
         )
     else:
         spec = training.default_toy_network(39, len(alphabet))
-    train_cfg = training.TrainConfig(
-        epochs=cfg["epochs"],
-        learning_rate=cfg["learning_rate"],
-        clip_norm=cfg.get("clip_norm", 1.0),
-        holdout_fraction=cfg.get("holdout_fraction", 0.2),
-        seed=cfg["seed"],
-        stop_ler=cfg.get("stop_ler"),
-    )
+    train_cfg = training.TrainConfig(**{k: cfg[k] for k in _TRAIN_KEYS if k in cfg})
     result = training.train_toy(data, alphabet, spec, train_cfg)
     fileio.save_checkpoint(cfg["checkpoint"], spec, result.params, result.transitions)
     with open(cfg["curve"], "w") as fh:

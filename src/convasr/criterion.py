@@ -349,16 +349,20 @@ def viterbi(graph: Lattice, emissions, transitions: TransitionTable):
 class _FBResult:
     log_z: float
     label_marginals: np.ndarray  # (T, L)
-    trans_marginals: np.ndarray  # (L, L)
-    start_marginals: np.ndarray  # (L,)
+    trans_marginals: np.ndarray | None  # (L, L)
+    start_marginals: np.ndarray | None  # (L,)
 
 
-def forward_backward(graph: Lattice, emissions, transitions: TransitionTable) -> _FBResult:
+def forward_backward(graph: Lattice, emissions, transitions: TransitionTable | None) -> _FBResult:
     """Forward score plus posterior marginals for states, transitions,
-    and start scores (the exact gradient ingredients)."""
-    emit, edge, start = _state_scores(graph, emissions, transitions)
+    and start scores (the exact gradient ingredients).  With
+    ``transitions`` None, links and starts score 0 and only the forward
+    score and label marginals are computed (the others are None)."""
+    f = _as_scores(emissions)
+    num_labels = f.shape[1]
+    tr = TransitionTable.zeros(num_labels) if transitions is None else transitions
+    emit, edge, start = _state_scores(graph, f, tr)
     T, S = emit.shape
-    num_labels = transitions.num_labels
     lab, preds, succs = graph.labels, graph.preds, graph.succs
 
     alpha = _forward(preds, emit, edge, start, _lse)
@@ -368,12 +372,14 @@ def forward_backward(graph: Lattice, emissions, transitions: TransitionTable) ->
 
     # emission plus backward score: the forward pass over reversed time
     end = np.where(graph.accepting, 0.0, NEG_INF)
-    succ_edge = transitions.trans[lab, lab[succs]]  # (Q, S)
+    succ_edge = tr.trans[lab, lab[succs]]  # (Q, S)
     ahead = _forward(succs, emit[::-1], succ_edge, end, _lse)[::-1]
 
     gamma = np.exp(alpha[:, :S] + ahead[:, :S] - emit - log_z)  # (T, S)
     label_marg = np.zeros((T, num_labels))
     np.add.at(label_marg.T, lab, gamma.T)
+    if transitions is None:
+        return _FBResult(log_z, label_marg, None, None)
     start_marg = np.zeros(num_labels)
     np.add.at(start_marg, lab, gamma[0])
 
@@ -398,11 +404,11 @@ def ctc_loss(emissions, labels, blank_id: int, strict: bool = False) -> Criterio
     Transitions play no role, so their gradients are zero.
     """
     f = _as_scores(emissions)
-    if strict and np.max(np.abs(_lse(f, 1))) > 1e-5:
-        raise CriterionError("emission rows are not normalized (logadd != 0)")
+    if strict:
+        EmissionTable(f, normalized=True)
     graph = build_ctc_graph(labels, f.shape[0], blank_id)
     num_labels = f.shape[1]
-    fb = forward_backward(graph, f, TransitionTable.zeros(num_labels))
+    fb = forward_backward(graph, f, None)
     return CriterionResult(
         loss=-fb.log_z,
         d_emissions=-fb.label_marginals,

@@ -10,12 +10,14 @@ word boundaries too), the weighted language model, and a per-word term:
 
     total = acoustic + alpha * ln P_lm(words) + beta * |words|
 
-Each frame the frontier is merged as it is built: every new hypothesis
-goes straight into one table keyed on (trie node, LM state, last
-label).  The table is then pruned by beam threshold (drop anything
-below frame best minus the threshold) and beam size (stable top-k count
-cap over in-word hypotheses; word-boundary hypotheses survive the cap
-since they are the decodable outputs and their count is bounded).  In
+Each hypothesis carries its total, computed once when it is made (and
+again only when a "logadd" merge changes its acoustic score).  Each
+frame the frontier is merged as it is built: every new hypothesis goes
+straight into one table keyed on (trie node, LM state, last label).
+The table is then pruned by beam threshold (drop anything below frame
+best minus the threshold) and beam size (a stable top-k selection over
+in-word hypotheses; word-boundary hypotheses survive the cap since
+they are the decodable outputs and their count is bounded).  In
 "max" mode merging keeps the best hypothesis, which makes an exhaustive
 beam an exact maximizer; "logadd" mode combines the acoustic mass of
 merged hypotheses, a lower bound on the all-paths objective unless the
@@ -24,6 +26,7 @@ beam holds every hypothesis.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -72,15 +75,8 @@ class Hypothesis:
     last_label: int
     acoustic: float
     lm10: float  # committed n-gram mass, log10
-    smear10: float  # provisional smeared estimate of the partial word, log10
     words: tuple  # committed word ids
-
-    def total(self, cfg: DecoderConfig) -> float:
-        return (
-            self.acoustic
-            + cfg.alpha * LN10 * (self.lm10 + self.smear10)
-            + cfg.beta * len(self.words)
-        )
+    total: float  # the search objective (see ``decode``)
 
 
 @dataclass
@@ -99,23 +95,21 @@ def prune(frontier, cfg: DecoderConfig, root):
     """Beam thresholding then a stable top-``beam_size`` count cap.
 
     Drops hypotheses below (frame best - beam_threshold), then keeps the
-    top ``beam_size`` of the rest by score; ties resolve in stable input
-    order.  Hypotheses on the trie node ``root`` (word boundaries) escape
-    the cap: they are the decodable outputs, their count is bounded by LM
-    states x labels, and discarding one can make a wider beam fail where
-    a narrower one succeeded.  The threshold still applies to them.
+    top ``beam_size`` of the rest by ``total``; ties resolve in stable
+    input order.  Hypotheses on the trie node ``root`` (word boundaries)
+    escape the cap: they are the decodable outputs, their count is bounded
+    by LM states x labels, and discarding one can make a wider beam fail
+    where a narrower one succeeded.  The threshold still applies to them.
     """
     if not frontier:
         return []
-    scores = [h.total(cfg) for h in frontier]
-    cut = max(scores) - cfg.beam_threshold
-    kept = [i for i, s in enumerate(scores) if s >= cut]
-    capped = [i for i in kept if frontier[i].node is not root]
+    cut = max(h.total for h in frontier) - cfg.beam_threshold
+    kept = [h for h in frontier if h.total >= cut]
+    capped = [(-h.total, i) for i, h in enumerate(kept) if h.node is not root]
     if len(capped) > cfg.beam_size:
-        capped.sort(key=lambda i: (-scores[i], i))
-        dropped = set(capped[cfg.beam_size :])
-        kept = [i for i in kept if i not in dropped]
-    return [frontier[i] for i in kept]
+        top = {i for _, i in heapq.nsmallest(cfg.beam_size, capped)}
+        kept = [h for i, h in enumerate(kept) if h.node is root or i in top]
+    return kept
 
 
 def _checked_scores(emissions, transitions: TransitionTable, lexicon: LexiconTrie) -> np.ndarray:
@@ -157,29 +151,35 @@ def decode(
     # transition row is the start score, so frame 0 expands like the rest
     begin = f.shape[1]
     trans = np.vstack([transitions.trans, transitions.start]).tolist()
-    frontier = [Hypothesis(root, lm.start_state(), begin, 0.0, 0.0, 0.0, ())]
+    frontier = [Hypothesis(root, lm.start_state(), begin, 0.0, 0.0, (), 0.0)]
+
+    def score(acoustic: float, lm10: float, node, words: tuple) -> float:
+        # off the root the partial word adds its smeared LM estimate
+        smear10 = 0.0 if node is root else node.smeared
+        return acoustic + cfg.alpha * LN10 * (lm10 + smear10) + cfg.beta * len(words)
 
     # admit and extend work on the current frame's scores and merge table
-    def admit(hyp: Hypothesis) -> None:
+    def admit(node, lm_state: tuple, label: int, acoustic: float, lm10: float, words: tuple):
         # merge on (trie node, LM state, last label); the table keeps
         # first-arrival order, which breaks ties in prune
-        key = (id(hyp.node), hyp.lm_state, hyp.last_label)
+        key = (id(node), lm_state, label)
+        total = score(acoustic, lm10, node, words)
         old = merged.get(key)
-        if old is None:
-            merged[key] = hyp
-        elif cfg.mode == "max":
-            if hyp.total(cfg) > old.total(cfg):
-                merged[key] = hyp
-        else:
-            keep, other = (hyp, old) if hyp.total(cfg) > old.total(cfg) else (old, hyp)
-            keep.acoustic = float(np.logaddexp(keep.acoustic, other.acoustic))
-            merged[key] = keep
+        if old is None or total > old.total:
+            # the winner keeps its history; logadd mode adds the loser's mass
+            if old is not None and cfg.mode == "logadd":
+                acoustic = float(np.logaddexp(acoustic, old.acoustic))
+                total = score(acoustic, lm10, node, words)
+            merged[key] = Hypothesis(node, lm_state, label, acoustic, lm10, words, total)
+        elif cfg.mode == "logadd":
+            old.acoustic = float(np.logaddexp(old.acoustic, acoustic))
+            old.total = score(old.acoustic, old.lm10, node, old.words)
 
-    def extend(hyp: Hypothesis, node, label: int, smear10: float) -> float:
+    def extend(hyp: Hypothesis, node, label: int) -> float:
         """Admit ``hyp`` moved onto (node, label); returns its own acoustic
         score, before any merge."""
         acoustic = hyp.acoustic + trans[hyp.last_label][label] + frame[label]
-        admit(Hypothesis(node, hyp.lm_state, label, acoustic, hyp.lm10, smear10, hyp.words))
+        admit(node, hyp.lm_state, label, acoustic, hyp.lm10, hyp.words)
         return acoustic
 
     for frame in f.tolist():
@@ -188,11 +188,11 @@ def decode(
             last = hyp.last_label
             # stay on the current grapheme (the virtual start label has none)
             if last != begin:
-                extend(hyp, hyp.node, last, hyp.smear10)
+                extend(hyp, hyp.node, last)
             at_root = hyp.node is root
             # silence between words
             if at_root and cfg.silence != "none" and last != sil:
-                extend(hyp, root, sil, 0.0)
+                extend(hyp, root, sil)
             # advance deeper into the trie (or into a new word from the
             # root, which after a word needs silence first when mandatory)
             if at_root and cfg.silence == "mandatory" and last not in (sil, begin):
@@ -202,12 +202,11 @@ def decode(
                     # indistinguishable from staying: identical letters
                     # need silence (or another word) in between
                     continue
-                acoustic = extend(hyp, child, gid, child.smeared)
+                acoustic = extend(hyp, child, gid)
                 # a word ends here: a committed copy goes back to the root
                 for wid in child.word_ids:
                     s, state = score_word(lm, hyp.lm_state, lexicon.words[wid])
-                    words = hyp.words + (wid,)
-                    admit(Hypothesis(root, state, gid, acoustic, hyp.lm10 + s, 0.0, words))
+                    admit(root, state, gid, acoustic, hyp.lm10 + s, hyp.words + (wid,))
         frontier = prune(list(merged.values()), cfg, root)
 
     # the words of a complete hypothesis fix its LM state and score, so
@@ -228,7 +227,7 @@ def decode(
         lm10 = hyps[0].lm10
         if EOS in lm.vocab:
             lm10 += score_word(lm, hyps[0].lm_state, EOS)[0]
-        total = acoustic + cfg.alpha * LN10 * lm10 + cfg.beta * len(words)
+        total = score(acoustic, lm10, root, words)
         results.append(
             DecodeResult([lexicon.words[w] for w in words], total, acoustic, LN10 * lm10)
         )

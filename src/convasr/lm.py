@@ -12,6 +12,7 @@ beam search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .alphabet import Alphabet, encode_transcription
@@ -148,8 +149,10 @@ def load_arpa(path) -> NGramLM:
             backoff = float(parts[-1]) if has_backoff else 0.0
         except ValueError:
             fail(i + 1, f"bad float in entry {line!r}")
-        if prob > 0.0:
-            fail(i + 1, f"positive log10 probability {prob}")
+        if not prob <= 0.0:
+            fail(i + 1, f"positive or NaN log10 probability {prob}")
+        if not backoff < math.inf:
+            fail(i + 1, f"infinite or NaN log10 backoff {backoff}")
         gram_words = parts[1 : order + 1]
         ids = []
         for w in gram_words:
@@ -317,8 +320,6 @@ def smear(trie: LexiconTrie, lm: NGramLM, mode: str = "max") -> LexiconTrie:
         if mode == "max":
             node.smeared = max(scores)
         else:
-            import math
-
             top = max(scores)
             node.smeared = top + math.log10(sum(10.0 ** (s - top) for s in scores))
         return node.smeared

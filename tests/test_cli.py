@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import pathlib
+import re
 import struct
 
 import numpy as np
@@ -284,6 +285,18 @@ class TestDecodeCommand:
             "--lexicon", tmp_path / "lex.txt", "--alphabet", tmp_path / "ab.txt",
         )
         assert code == 1 and out == "" and err.startswith("error:") and "finite" in err
+        assert "Traceback" not in err
+
+    def test_nan_lm_probability_is_an_input_error(self, tmp_path, capsys):
+        # a NaN total loses every comparison, so "cab" could never win
+        self.setup_fixture(tmp_path)
+        arpa = tmp_path / "lm.arpa"
+        arpa.write_text(re.sub(r"^\S+\tcab\t", "nan\tcab\t", arpa.read_text(), flags=re.M))
+        code, out, err = run(
+            capsys, "decode", "--emissions", tmp_path / "e.bin", "--arpa", arpa,
+            "--lexicon", tmp_path / "lex.txt", "--alphabet", tmp_path / "ab.txt",
+        )
+        assert code == 1 and out == "" and err.startswith("error:") and "NaN" in err
         assert "Traceback" not in err
 
     def test_pruning_failure_exit_code(self, tmp_path, capsys):

@@ -16,6 +16,7 @@ from convasr.criterion import (
     build_full_graph,
     build_linear_graph,
     ctc_loss,
+    forward_backward,
     forward_score,
     log_softmax,
     logadd,
@@ -308,6 +309,20 @@ class TestCtcLoss:
             f = log_softmax(rng.normal(size=(T, 4)))
             labels = random_label_sequence(rng, int(rng.integers(1, min(3, T) + 1)), 3)
             assert ctc_loss(f, labels, blank_id=3).loss >= -1e-10
+
+    def test_without_transitions_links_score_zero(self):
+        # forward_backward(..., None) is the zero transition table, minus
+        # the link and start marginals nothing reads
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            T, L = int(rng.integers(1, 12)), int(rng.integers(2, 6))
+            f = rng.normal(size=(T, L))
+            for graph in (build_full_graph(L, T), build_asg_graph(random_label_sequence(rng, 1, L), T)):
+                got = forward_backward(graph, f, None)
+                want = forward_backward(graph, f, TransitionTable.zeros(L))
+                assert got.log_z == want.log_z
+                assert np.array_equal(got.label_marginals, want.label_marginals)
+                assert got.trans_marginals is None and got.start_marginals is None
 
     def test_strict_mode_rejects_unnormalized(self):
         with pytest.raises(CriterionError):

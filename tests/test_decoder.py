@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ import oracles
 from conftest import make_bigram_arpa, random_transitions
 
 LETTERS = "abcd"
+GOLDEN_NBEST = pathlib.Path(__file__).parent / "golden" / "decode_nbest.json"
 
 
 @pytest.fixture
@@ -47,8 +50,8 @@ class TestPrune:
         return DecoderConfig(**kw)
 
     def hyps(self, scores):
-        # score carried through acoustic; everything else neutral
-        return [Hypothesis(None, (), 0, s, 0.0, 0.0, ()) for s in scores]
+        # score carried through acoustic and total; everything else neutral
+        return [Hypothesis(None, (), 0, s, 0.0, (), s) for s in scores]
 
     def test_all_equal_within_beam_unchanged(self):
         hyps = self.hyps([1.0] * 5)
@@ -92,7 +95,7 @@ class TestPrune:
             beam = int(rng.integers(1, 6))
             thr = float(rng.uniform(0.5, 5.0))
             hyps = [
-                Hypothesis(root if r else object(), (), 0, s, 0.0, 0.0, ())
+                Hypothesis(root if r else object(), (), 0, s, 0.0, (), s)
                 for s, r in zip(scores, at_root)
             ]
             kept = prune(hyps, self.cfg(beam_size=beam, beam_threshold=thr), root=root)
@@ -376,6 +379,65 @@ class TestBeamBehavior:
             mx = decode(f, tr, lm, lexicon, exhaustive_cfg(mode="max"), nbest=1)[0]
             la = decode(f, tr, lm, lexicon, exhaustive_cfg(mode="logadd"), nbest=1)[0]
             assert la.score >= mx.score - 1e-12
+
+
+def narrow_beam_nbest(tmp_path) -> list:
+    """n-best lists (nbest 5) of 36 seeded small decodes at beam 3 and
+    threshold 4: 6 lexicons x silence none/optional/mandatory x
+    max/logadd.  ``tests/golden/decode_nbest.json`` holds this list as
+    JSON; re-record it only when the search changes on purpose."""
+    alphabet = make_alphabet(LETTERS)
+    L = len(alphabet)
+    cases = []
+    for seed in range(6):
+        rng = np.random.default_rng(500 + seed)
+        words = set()
+        while len(words) < 6:
+            size, word = int(rng.integers(1, 5)), [int(rng.integers(0, 4))]
+            while len(word) < size:
+                c = int(rng.integers(0, 4))
+                if c != word[-1]:
+                    word.append(c)
+            words.add("".join(LETTERS[c] for c in word))
+        words = sorted(words)
+        lm, lexicon = make_setup(tmp_path, words, rng, alphabet)
+        # a spoken sentence: peaks on its silence-separated spelling, 1-2
+        # frames per label, over unit Gaussian scores
+        spelling = []
+        for w in rng.choice(words, int(rng.integers(2, 4))):
+            spelling += [alphabet.index[ch] for ch in w] + [alphabet.silence_id]
+        frames = np.repeat(spelling[:-1], rng.integers(1, 3, len(spelling) - 1))
+        f = rng.normal(size=(len(frames), L))
+        f[np.arange(len(frames)), frames] += 2.0
+        tr = random_transitions(rng, L)
+        alpha = 0.8
+        if seed % 2:
+            # whole-number scores and no LM weight: equal totals put
+            # prune's tie-break to work
+            f, tr, alpha = np.round(f), TransitionTable.zeros(L), 0.0
+        for silence in ("none", "optional", "mandatory"):
+            for mode in ("max", "logadd"):
+                cfg = DecoderConfig(
+                    alpha=alpha, beta=-0.3, beam_size=3, beam_threshold=4.0, mode=mode, silence=silence
+                )
+                results = decode(f, tr, lm, lexicon, cfg, nbest=5)
+                nbest = [[r.words, r.score, r.acoustic, r.lm] for r in results]
+                cases.append({"seed": seed, "silence": silence, "mode": mode, "nbest": nbest})
+    return cases
+
+
+class TestNarrowBeamGolden:
+    def test_matches_recorded_nbest(self, tmp_path):
+        # pins prune's tie-breaks and the root cap exemption at the decode
+        # level, which the exhaustive-beam oracle checks cannot see
+        want = json.loads(GOLDEN_NBEST.read_text())
+        got = narrow_beam_nbest(tmp_path)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g["seed"], g["silence"], g["mode"]) == (w["seed"], w["silence"], w["mode"])
+            assert [r[0] for r in g["nbest"]] == [r[0] for r in w["nbest"]], w
+            scores = np.array([r[1:] for r in g["nbest"]])
+            np.testing.assert_allclose(scores, np.array([r[1:] for r in w["nbest"]]), rtol=0, atol=1e-9)
 
 
 class TestConfigValidation:

@@ -60,6 +60,27 @@ class TestArpaParser:
         with pytest.raises(ArpaParseError, match=match):
             load_arpa(path)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [("-0.5\tc", "nan\tc"), ("-0.61\tb\t-0.2", "-0.61\tb\tnan"), ("-0.61\tb\t-0.2", "-0.61\tb\tinf")],
+        ids=["nan-probability", "nan-backoff", "inf-backoff"],
+    )
+    def test_non_finite_values_rejected(self, tmp_path, old, new):
+        # a NaN probability or a NaN/+inf backoff would poison every score
+        path = tmp_path / "bad.arpa"
+        path.write_text(HAND_ARPA.replace(old, new))
+        line = HAND_ARPA.splitlines().index(old) + 1
+        with pytest.raises(ArpaParseError, match=rf"line {line}: .*(NaN|infinite)"):
+            load_arpa(path)
+
+    def test_minus_infinity_allowed(self, tmp_path):
+        # an impossible word, and a context that never backs off
+        path = tmp_path / "zero.arpa"
+        path.write_text(HAND_ARPA.replace("-0.5\tc", "-inf\tc").replace("b\t-0.2", "b\t-inf"))
+        lm = load_arpa(path)
+        assert unigram_score(lm, "c") == -math.inf
+        assert lm.tables[1][(lm.word_id("b"),)][1] == -math.inf
+
     def test_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.arpa"
         path.write_text(HAND_ARPA.replace("-0.5\tc", "bad\tc"))
