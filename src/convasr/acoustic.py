@@ -165,14 +165,12 @@ def min_input_frames(spec: NetworkSpec) -> int:
     return receptive_field(spec)[0]
 
 
-def network_forward(
-    features, spec: NetworkSpec, params: ModelParams, normalize: bool = False
-) -> EmissionTable:
-    """Run the network over a feature sequence; returns emission scores.
+def network_forward(features, spec: NetworkSpec, params: ModelParams) -> EmissionTable:
+    """Run the network over a feature sequence; returns raw emission scores.
 
-    With ``normalize`` the output rows are log-softmaxed (per-frame
-    normalized scores); otherwise raw scores pass through, as the
-    globally normalized criterion expects.
+    The globally normalized criterion takes them as they are; for
+    per-frame normalized rows wrap ``log_softmax`` of the scores in an
+    ``EmissionTable(..., normalized=True)``.
     """
     x = features.frames if hasattr(features, "frames") else np.asarray(features, np.float64)
     need = min_input_frames(spec)
@@ -181,7 +179,7 @@ def network_forward(
             f"network needs at least {need} input frames, got {x.shape[0]}"
         )
     x, _ = network_forward_cached(x, spec, params)
-    return EmissionTable.from_logits(x, normalize=normalize)
+    return EmissionTable(x)
 
 
 def network_forward_cached(x: np.ndarray, spec: NetworkSpec, params: ModelParams):

@@ -29,6 +29,17 @@ class BenchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.transcription < 1:
+            raise ValueError("transcription size must be >= 1")
+        # labels avoid the last id (the ctc blank) and never repeat
+        # adjacently, so a transcription longer than one needs two letters
+        if self.vocab - 1 < min(self.transcription, 2):
+            raise ValueError(
+                f"vocab {self.vocab} leaves too few letters for a "
+                f"{self.transcription}-label transcription without repeats"
+            )
+        if any(b < 1 for b in self.batch_sizes):
+            raise ValueError("batch sizes must be >= 1")
         if self.transcription > self.frames:
             raise ValueError("transcription cannot be longer than the frame count")
         if self.repetitions < 3:

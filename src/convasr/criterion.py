@@ -88,13 +88,6 @@ class EmissionTable:
         if self.normalized and np.max(np.abs(_lse(self.scores, 1))) > 1e-5:
             raise CriterionError("rows marked normalized do not logadd to 0")
 
-    @classmethod
-    def from_logits(cls, scores, normalize: bool = False) -> "EmissionTable":
-        scores = np.asarray(scores, dtype=np.float64)
-        if normalize:
-            return cls(log_softmax(scores), normalized=True)
-        return cls(scores, normalized=False)
-
     @property
     def num_frames(self) -> int:
         return self.scores.shape[0]

@@ -153,10 +153,15 @@ def decode(
     trans = np.vstack([transitions.trans, transitions.start]).tolist()
     frontier = [Hypothesis(root, lm.start_state(), begin, 0.0, 0.0, (), 0.0)]
 
+    # alpha * ln(10), so that the LM term is lm_weight * log10 mass; a
+    # zero weight counts 0, also for an impossible (-inf) word sequence
+    lm_weight = cfg.alpha * LN10
+
     def score(acoustic: float, lm10: float, node, words: tuple) -> float:
         # off the root the partial word adds its smeared LM estimate
         smear10 = 0.0 if node is root else node.smeared
-        return acoustic + cfg.alpha * LN10 * (lm10 + smear10) + cfg.beta * len(words)
+        lm_term = lm_weight * (lm10 + smear10) if lm_weight else 0.0
+        return acoustic + lm_term + cfg.beta * len(words)
 
     # admit and extend work on the current frame's scores and merge table
     def admit(node, lm_state: tuple, label: int, acoustic: float, lm10: float, words: tuple):
@@ -301,7 +306,9 @@ def exhaustive_decode(
                 continue
             acoustic, _ = forward_score(graph, f, transitions, cfg.mode)
             lm10 = sentence_logprob(lm, [lexicon.words[w] for w in seq])
-            total = acoustic + cfg.alpha * LN10 * lm10 + cfg.beta * k
+            # a zero LM weight counts 0, as in ``decode``
+            lm_term = cfg.alpha * LN10 * lm10 if cfg.alpha else 0.0
+            total = acoustic + lm_term + cfg.beta * k
             if best is None or total > best.score:
                 best = DecodeResult(
                     [lexicon.words[w] for w in seq], total, acoustic, LN10 * lm10

@@ -3,9 +3,10 @@
 Reference configuration: 16 kHz input, 25 ms Hamming window, 10 ms
 stride, 512-point FFT (257 spectrum bins), 40 mel filters, log floor
 1e-10, orthonormal DCT-II, 13 cepstra plus first and second order
-derivatives over a +/-2 frame regression window.  Pre-emphasis is off
-by default.  Features are normalized to mean 0 / std 1 per dimension
-over the whole sequence; zero-variance dimensions map to 0.
+derivatives over a +/-2 frame regression window, no pre-emphasis.
+These values are fixed (the module constants below).  Features are
+normalized to mean 0 / std 1 per dimension over the whole sequence;
+zero-variance dimensions map to 0.
 """
 
 from __future__ import annotations
@@ -14,6 +15,14 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
+
+WINDOW_MS = 25.0
+STRIDE_MS = 10.0
+N_FFT = 512
+N_FILTERS = 40
+N_CEPS = 13
+LOG_FLOOR = 1e-10
+DELTA_WINDOW = 2
 
 
 class FeatureError(ValueError):
@@ -100,39 +109,21 @@ def _frame_signal(samples: np.ndarray, window: int, hop: int) -> np.ndarray:
     return view[:n]
 
 
-def _window_hop(sample_rate: int, window_ms: float, stride_ms: float) -> tuple[int, int]:
-    return int(round(sample_rate * window_ms / 1000.0)), int(
-        round(sample_rate * stride_ms / 1000.0)
-    )
+def power_spectrum(w: Waveform) -> FeatureSequence:
+    """Per-frame squared-magnitude real FFT (Hamming window), 257 components.
 
-
-def power_spectrum(
-    w: Waveform,
-    window_ms: float = 25.0,
-    stride_ms: float = 10.0,
-    n_fft: int = 512,
-    pre_emphasis: float = 0.0,
-) -> FeatureSequence:
-    """Per-frame squared-magnitude real FFT (Hamming window).
-
-    With the defaults each frame has n_fft // 2 + 1 = 257 components.
     Output scales with the square of the input amplitude.
     """
-    samples = w.samples
-    if pre_emphasis > 0.0:
-        samples = np.append(samples[0], samples[1:] - pre_emphasis * samples[:-1])
-    window, hop = _window_hop(w.sample_rate, window_ms, stride_ms)
-    frames = _frame_signal(samples, window, hop) * np.hamming(window)
-    spec = np.abs(np.fft.rfft(frames, n_fft, axis=1)) ** 2
-    return FeatureSequence(spec, stride_ms, window_ms)
+    window = int(round(w.sample_rate * WINDOW_MS / 1000.0))
+    hop = int(round(w.sample_rate * STRIDE_MS / 1000.0))
+    frames = _frame_signal(w.samples, window, hop) * np.hamming(window)
+    spec = np.abs(np.fft.rfft(frames, N_FFT, axis=1)) ** 2
+    return FeatureSequence(spec, STRIDE_MS, WINDOW_MS)
 
 
-def mel_filterbank(
-    n_filters: int, n_fft: int, sample_rate: int, f_min: float = 0.0, f_max: float | None = None
-) -> np.ndarray:
-    """Triangular mel filters evaluated on FFT bin centers, (n_filters, n_fft//2+1)."""
-    if f_max is None:
-        f_max = sample_rate / 2.0
+def mel_filterbank(n_filters: int, n_fft: int, sample_rate: int) -> np.ndarray:
+    """Triangular mel filters from 0 Hz to Nyquist, evaluated on FFT bin
+    centers, (n_filters, n_fft//2+1)."""
 
     def to_mel(hz):
         return 2595.0 * np.log10(1.0 + np.asarray(hz) / 700.0)
@@ -140,7 +131,7 @@ def mel_filterbank(
     def to_hz(mel):
         return 700.0 * (10.0 ** (np.asarray(mel) / 2595.0) - 1.0)
 
-    edges = to_hz(np.linspace(to_mel(f_min), to_mel(f_max), n_filters + 2))
+    edges = to_hz(np.linspace(to_mel(0.0), to_mel(sample_rate / 2.0), n_filters + 2))
     bin_hz = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
     fb = np.zeros((n_filters, n_fft // 2 + 1))
     for m in range(n_filters):
@@ -160,36 +151,27 @@ def dct_matrix(n_out: int, n_in: int) -> np.ndarray:
     return mat
 
 
-def delta(features: np.ndarray, window: int = 2) -> np.ndarray:
-    """Regression-based derivatives over +/-window frames, edges replicated."""
+def delta(features: np.ndarray) -> np.ndarray:
+    """Regression-based derivatives over +/-2 frames, edges replicated."""
     t = features.shape[0]
-    padded = np.pad(features, ((window, window), (0, 0)), mode="edge")
-    denom = 2.0 * sum(n * n for n in range(1, window + 1))
+    w = DELTA_WINDOW
+    padded = np.pad(features, ((w, w), (0, 0)), mode="edge")
+    denom = 2.0 * sum(n * n for n in range(1, w + 1))
     out = np.zeros_like(features)
-    for n in range(1, window + 1):
-        out += n * (padded[window + n : window + n + t] - padded[window - n : window - n + t])
+    for n in range(1, w + 1):
+        out += n * (padded[w + n : w + n + t] - padded[w - n : w - n + t])
     return out / denom
 
 
-def mfcc(
-    w: Waveform,
-    window_ms: float = 25.0,
-    stride_ms: float = 10.0,
-    n_fft: int = 512,
-    n_filters: int = 40,
-    n_ceps: int = 13,
-    log_floor: float = 1e-10,
-    delta_window: int = 2,
-    pre_emphasis: float = 0.0,
-) -> FeatureSequence:
+def mfcc(w: Waveform) -> FeatureSequence:
     """13 cepstra with first and second order derivatives (d = 39)."""
-    spec = power_spectrum(w, window_ms, stride_ms, n_fft, pre_emphasis)
-    fb = mel_filterbank(n_filters, n_fft, w.sample_rate)
-    logmel = np.log(np.maximum(spec.frames @ fb.T, log_floor))
-    ceps = logmel @ dct_matrix(n_ceps, n_filters).T
-    d1 = delta(ceps, delta_window)
-    d2 = delta(d1, delta_window)
-    return FeatureSequence(np.hstack([ceps, d1, d2]), stride_ms, window_ms)
+    spec = power_spectrum(w)
+    fb = mel_filterbank(N_FILTERS, N_FFT, w.sample_rate)
+    logmel = np.log(np.maximum(spec.frames @ fb.T, LOG_FLOOR))
+    ceps = logmel @ dct_matrix(N_CEPS, N_FILTERS).T
+    d1 = delta(ceps)
+    d2 = delta(d1)
+    return FeatureSequence(np.hstack([ceps, d1, d2]), STRIDE_MS, WINDOW_MS)
 
 
 def normalize(f: FeatureSequence) -> FeatureSequence:

@@ -21,7 +21,6 @@ LN10 = 2.302585092994046  # natural log of 10: converts log10 to ln
 
 BOS = "<s>"
 EOS = "</s>"
-UNK = "<unk>"
 
 
 class LMError(ValueError):
@@ -41,15 +40,9 @@ class NGramLM:
     # backoff is 0.0 when the file omits it
     tables: list
 
-    @property
-    def vocab_size(self) -> int:
-        return len(self.words)
-
-    def word_id(self, word: str, oov: str = "strict") -> int:
+    def word_id(self, word: str) -> int:
         wid = self.vocab.get(word)
         if wid is None:
-            if oov == "unk" and UNK in self.vocab:
-                return self.vocab[UNK]
             raise LMError(f"out-of-vocabulary word: {word!r}")
         return wid
 
@@ -59,10 +52,22 @@ class NGramLM:
         return ()
 
 
+def _read_text(path, error: type) -> str:
+    """The file decoded as UTF-8; an undecodable byte raises ``error``
+    naming its line (counted as ``str.splitlines`` counts)."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line breaks before the bad byte, plus one
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise error(f"line {line}: byte {data[exc.start]:#04x} is not valid UTF-8") from None
+
+
 def load_arpa(path) -> NGramLM:
     """Parse an ARPA model; malformed input raises with a line number."""
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = _read_text(path, ArpaParseError).splitlines()
 
     def fail(lineno, msg):
         raise ArpaParseError(f"line {lineno}: {msg}")
@@ -189,14 +194,14 @@ def save_arpa(lm: NGramLM, path) -> None:
         f.write("\n\\end\\\n")
 
 
-def score_word(lm: NGramLM, state: tuple, word, oov: str = "strict"):
+def score_word(lm: NGramLM, state: tuple, word):
     """Backoff query: returns (log10 prob, new state).
 
     ``state`` is an opaque context of word ids (use ``lm.start_state()``
     to begin a sentence).  If the full n-gram is absent the context's
     backoff weight is added and the context shortened, recursively.
     """
-    wid = word if isinstance(word, int) else lm.word_id(word, oov)
+    wid = word if isinstance(word, int) else lm.word_id(word)
     ctx = tuple(state)[-(lm.order - 1) :] if lm.order > 1 else ()
     score = 0.0
     while True:
@@ -222,7 +227,7 @@ def unigram_score(lm: NGramLM, word: str) -> float:
     return hit[0]
 
 
-def sentence_logprob(lm: NGramLM, sentence, oov: str = "strict") -> float:
+def sentence_logprob(lm: NGramLM, sentence) -> float:
     """Log10 probability of a word sequence with sentence sentinels.
 
     Scores each word left to right starting from the begin-of-sentence
@@ -232,10 +237,10 @@ def sentence_logprob(lm: NGramLM, sentence, oov: str = "strict") -> float:
     state = lm.start_state()
     total = 0.0
     for w in words:
-        s, state = score_word(lm, state, w, oov)
+        s, state = score_word(lm, state, w)
         total += s
     if EOS in lm.vocab:
-        s, _ = score_word(lm, state, EOS, oov)
+        s, _ = score_word(lm, state, EOS)
         total += s
     return total
 
@@ -260,6 +265,34 @@ class LexiconTrie:
         return len(self.words)
 
 
+def _insert(root: TrieNode, wid: int, word: str, spelling, alphabet: Alphabet) -> None:
+    """Add one word's spelling below ``root``; an unusable spelling raises."""
+    if not spelling:
+        raise LMError(f"lexicon word {word!r} has an empty spelling")
+    node = root
+    prev = None
+    for gid in spelling:
+        gid = int(gid)
+        if gid < 0 or gid >= len(alphabet):
+            raise LMError(f"spelling of {word!r} has invalid grapheme id {gid}")
+        if gid == alphabet.silence_id:
+            raise LMError(f"spelling of {word!r} contains the silence symbol")
+        if gid == prev:
+            # adjacent identical labels collapse to one emission and
+            # could never be matched; repetition labels exist for this
+            raise LMError(
+                f"spelling of {word!r} repeats a label adjacently; "
+                "use the repetition labels instead"
+            )
+        prev = gid
+        nxt = node.children.get(gid)
+        if nxt is None:
+            nxt = TrieNode(label=gid)
+            node.children[gid] = nxt
+        node = nxt
+    node.word_ids.append(wid)
+
+
 def build_lexicon(words, alphabet: Alphabet, spellings=None) -> LexiconTrie:
     """Trie over repetition-encoded spellings.
 
@@ -276,52 +309,23 @@ def build_lexicon(words, alphabet: Alphabet, spellings=None) -> LexiconTrie:
             spellings.append(encode_transcription(w, alphabet))
     root = TrieNode(label=-1)
     for wid, spelling in enumerate(spellings):
-        if not spelling:
-            raise LMError(f"lexicon word {words[wid]!r} has an empty spelling")
-        node = root
-        prev = None
-        for gid in spelling:
-            gid = int(gid)
-            if gid < 0 or gid >= len(alphabet):
-                raise LMError(f"spelling of {words[wid]!r} has invalid grapheme id {gid}")
-            if gid == alphabet.silence_id:
-                raise LMError(f"spelling of {words[wid]!r} contains the silence symbol")
-            if gid == prev:
-                # adjacent identical labels collapse to one emission and
-                # could never be matched; repetition labels exist for this
-                raise LMError(
-                    f"spelling of {words[wid]!r} repeats a label adjacently; "
-                    "use the repetition labels instead"
-                )
-            prev = gid
-            nxt = node.children.get(gid)
-            if nxt is None:
-                nxt = TrieNode(label=gid)
-                node.children[gid] = nxt
-            node = nxt
-        node.word_ids.append(wid)
+        _insert(root, wid, words[wid], spelling, alphabet)
     return LexiconTrie(root, words, [list(s) for s in spellings], alphabet)
 
 
-def smear(trie: LexiconTrie, lm: NGramLM, mode: str = "max") -> LexiconTrie:
+def smear(trie: LexiconTrie, lm: NGramLM) -> LexiconTrie:
     """Assign each node the best unigram log10 score in its subtree.
 
-    mode="max" keeps the best word (the usual admissible estimate);
-    mode="logadd" accumulates the subtree mass instead.  Every lexicon
-    word must be in the LM vocabulary.  Mutates and returns the trie.
+    The best word below a node is an admissible estimate of the partial
+    word's language-model score.  Every lexicon word must be in the LM
+    vocabulary.  Mutates and returns the trie.
     """
-    if mode not in ("max", "logadd"):
-        raise LMError(f"unknown smear mode {mode!r}")
     word_scores = [unigram_score(lm, w) for w in trie.words]
 
     def visit(node: TrieNode) -> float:
         scores = [word_scores[wid] for wid in node.word_ids]
         scores += [visit(child) for child in node.children.values()]
-        if mode == "max":
-            node.smeared = max(scores)
-        else:
-            top = max(scores)
-            node.smeared = top + math.log10(sum(10.0 ** (s - top) for s in scores))
+        node.smeared = max(scores)
         return node.smeared
 
     visit(trie.root)
@@ -337,20 +341,24 @@ def save_lexicon(trie: LexiconTrie, path) -> None:
 
 
 def load_lexicon(path, alphabet: Alphabet) -> LexiconTrie:
+    """Read a ``save_lexicon`` file; malformed input raises with a line number."""
+    root = TrieNode(label=-1)
     words, spellings = [], []
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise LMError(f"line {lineno}: expected 'word<TAB>spelling'")
-            word, spelling = line.split("\t", 1)
-            ids = []
-            for sym in spelling.split():
-                if sym not in alphabet.index:
-                    raise LMError(f"line {lineno}: unknown grapheme {sym!r}")
-                ids.append(alphabet.index[sym])
-            words.append(word)
-            spellings.append(ids)
-    return build_lexicon(words, alphabet, spellings)
+    for lineno, line in enumerate(_read_text(path, LMError).splitlines(), 1):
+        if not line.strip():
+            continue
+        if "\t" not in line:
+            raise LMError(f"line {lineno}: expected 'word<TAB>spelling'")
+        word, spelling = line.split("\t", 1)
+        ids = []
+        for sym in spelling.split():
+            if sym not in alphabet.index:
+                raise LMError(f"line {lineno}: unknown grapheme {sym!r}")
+            ids.append(alphabet.index[sym])
+        try:
+            _insert(root, len(words), word, ids, alphabet)
+        except LMError as exc:
+            raise LMError(f"line {lineno}: {exc}") from None
+        words.append(word)
+        spellings.append(ids)
+    return LexiconTrie(root, words, spellings, alphabet)

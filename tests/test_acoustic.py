@@ -249,16 +249,6 @@ class TestNetwork:
         manual = conv1d_forward(manual, spec.layers[1], params.layers[1])
         np.testing.assert_allclose(network_forward(x, spec, params).scores, manual)
 
-    def test_normalized_output_rows(self):
-        rng = np.random.default_rng(8)
-        spec = NetworkSpec([ConvLayerSpec(3, 5, 2, 1, "none")])
-        params = init_params(spec, rng)
-        table = network_forward(rng.normal(size=(6, 3)), spec, params, normalize=True)
-        assert table.normalized
-        np.testing.assert_allclose(
-            np.log(np.exp(table.scores).sum(axis=1)), 0.0, atol=1e-10
-        )
-
     def test_too_short_names_minimum(self):
         spec = NetworkSpec([ConvLayerSpec(1, 1, 3, 2), ConvLayerSpec(1, 1, 3, 2)])
         with pytest.raises(AcousticError, match=str(min_input_frames(spec))):

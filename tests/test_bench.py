@@ -19,6 +19,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             BenchConfig(criteria=("asg", "viterbi"))
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(vocab=2, transcription=2),  # one letter cannot avoid repeats
+            dict(batch_sizes=(1, 0)),
+            dict(transcription=0),
+            dict(transcription=-1),
+        ],
+        ids=["one-letter", "zero-batch", "empty-transcription", "negative-transcription"],
+    )
+    def test_degenerate_inputs_rejected(self, kw):
+        with pytest.raises(ValueError):
+            BenchConfig(**kw)
+
+    def test_smallest_valid_vocabularies(self):
+        BenchConfig(vocab=2, transcription=1)
+        BenchConfig(vocab=3, transcription=2)
+
 
 class TestInstances:
     def test_seeded_inputs_reproduce(self):

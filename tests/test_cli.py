@@ -357,6 +357,14 @@ class TestBenchCommand:
         )
         assert code == 1 and "error" in err
 
+    def test_zero_batch_size_is_an_input_error(self, capsys):
+        code, _, err = run(
+            capsys, "bench", "--frames", "20", "--transcription-size", "5",
+            "--batch-sizes", "0", "--repetitions", "3",
+        )
+        assert code == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestEnvOverride:
     def test_env_prefix_sets_defaults(self, tmp_path, capsys, monkeypatch):

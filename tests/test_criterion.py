@@ -442,13 +442,6 @@ class TestAsgLoss:
 
 
 class TestEmissionTable:
-    def test_normalized_rows(self):
-        rng = np.random.default_rng(22)
-        table = EmissionTable.from_logits(rng.normal(size=(5, 7)), normalize=True)
-        assert table.normalized
-        for row in table.scores:
-            assert abs(logadd(row)) < 1e-10
-
     def test_nonfinite_rejected(self):
         with pytest.raises(CriterionError):
             EmissionTable(np.array([[0.0, np.inf]]))

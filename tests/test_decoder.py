@@ -309,6 +309,51 @@ class TestBeamEqualsOracle:
             assert abs(got.acoustic - best_score) < 1e-9
 
 
+class TestZeroLmWeight:
+    """At alpha 0 the LM term counts 0, even for a word the LM rules out
+    (0 * -inf would be NaN)."""
+
+    def make(self, tmp_path):
+        alphabet = make_alphabet("cdef")
+        path = tmp_path / "lm.arpa"
+        path.write_text("\\data\\\nngram 1=2\n\n\\1-grams:\n-inf\tcd\n-0.5\tef\n\n\\end\\\n")
+        lm = load_arpa(path)
+        return alphabet, lm, smear(build_lexicon(["cd", "ef"], alphabet), lm)
+
+    def test_impossible_word_decodes_on_acoustics(self, tmp_path):
+        alphabet, lm, lexicon = self.make(tmp_path)
+        L = len(alphabet)
+        f = np.full((4, L), -2.0)
+        for t, ch in enumerate("ccdd"):
+            f[t, alphabet.index[ch]] = 1.0
+        tr = TransitionTable.zeros(L)
+        cfg = exhaustive_cfg(alpha=0.0, silence="none")
+        got = decode(f, tr, lm, lexicon, cfg, nbest=1)[0]
+        want = exhaustive_decode(f, tr, lm, lexicon, cfg, 2)
+        assert got.words == want.words == ["cd"]
+        assert abs(got.score - want.score) < 1e-9 and got.score == got.acoustic
+        # any positive weight rules the word out
+        tiny = exhaustive_cfg(alpha=1e-9, silence="none")
+        assert decode(f, tr, lm, lexicon, tiny, nbest=1)[0].words == ["ef"]
+
+    @pytest.mark.parametrize("policy", ["optional", "none", "mandatory"])
+    def test_beam_matches_oracle(self, tmp_path, policy):
+        alphabet, lm, lexicon = self.make(tmp_path)
+        rng = np.random.default_rng(40)
+        L = len(alphabet)
+        for _ in range(6):
+            # random scores leaning towards "cd", the word the LM rules out
+            f = rng.normal(size=(6, L))
+            f[1:3, alphabet.index["c"]] += 2.0
+            f[3:5, alphabet.index["d"]] += 2.0
+            tr = random_transitions(rng, L)
+            cfg = exhaustive_cfg(alpha=0.0, beta=-0.3, silence=policy)
+            got = decode(f, tr, lm, lexicon, cfg, nbest=1)[0]
+            want = exhaustive_decode(f, tr, lm, lexicon, cfg, 3)
+            assert "cd" in got.words and got.words == want.words
+            assert abs(got.score - want.score) < 1e-9
+
+
 class TestBeamBehavior:
     def test_monotone_in_beam_size(self, tmp_path, alphabet):
         rng = np.random.default_rng(14)
