@@ -12,13 +12,14 @@ convolution whose kernel width and stride are given by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from .criterion import EmissionTable
 
+# a checkpoint stores a nonlinearity as its index here: append, never reorder
 NONLINEARITIES = ("hardtanh", "tanh", "relu", "none")
 
 
@@ -61,10 +62,6 @@ class NetworkSpec:
                 raise AcousticError(
                     f"channel mismatch: layer outputs {a.d_out}, next expects {b.d_in}"
                 )
-
-    @property
-    def d_in(self) -> int:
-        return self.layers[0].d_in
 
     @property
     def d_out(self) -> int:
@@ -113,9 +110,8 @@ def conv1d_forward(x: np.ndarray, layer: ConvLayerSpec, params: LayerParams) -> 
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.d_in:
         raise AcousticError(f"expected (T, {layer.d_in}) input, got {x.shape}")
-    t_out = layer.out_frames(x.shape[0])
+    layer.out_frames(x.shape[0])  # raises on too-short input
     windows = np.lib.stride_tricks.sliding_window_view(x, layer.kw, axis=0)[:: layer.dw]
-    windows = windows[:t_out]  # (T_y, d_in, kw)
     return np.tensordot(windows, params.w, axes=([1, 2], [1, 2])) + params.b
 
 
@@ -129,7 +125,6 @@ def conv1d_backward(
     if d_y.shape != (t_out, layer.d_out):
         raise AcousticError(f"expected ({t_out}, {layer.d_out}) upstream gradient, got {d_y.shape}")
     windows = np.lib.stride_tricks.sliding_window_view(x, layer.kw, axis=0)[:: layer.dw]
-    windows = windows[:t_out]
     d_w = np.tensordot(d_y, windows, axes=([0], [0]))  # (d_out, d_in, kw)
     d_b = d_y.sum(axis=0)
     d_x = np.zeros_like(x)
@@ -161,10 +156,6 @@ def _nonlin_grad(z: np.ndarray, kind: str) -> np.ndarray:
     return np.ones_like(z)
 
 
-def min_input_frames(spec: NetworkSpec) -> int:
-    return receptive_field(spec)[0]
-
-
 def network_forward(features, spec: NetworkSpec, params: ModelParams) -> EmissionTable:
     """Run the network over a feature sequence; returns raw emission scores.
 
@@ -173,7 +164,7 @@ def network_forward(features, spec: NetworkSpec, params: ModelParams) -> Emissio
     ``EmissionTable(..., normalized=True)``.
     """
     x = features.frames if hasattr(features, "frames") else np.asarray(features, np.float64)
-    need = min_input_frames(spec)
+    need = receptive_field(spec)[0]
     if x.shape[0] < need:
         raise AcousticError(
             f"network needs at least {need} input frames, got {x.shape[0]}"
@@ -228,30 +219,14 @@ def parse_network_spec(text: str) -> NetworkSpec:
     return NetworkSpec(layers)
 
 
-def format_network_spec(spec: NetworkSpec) -> str:
-    return "\n".join(
-        f"{l.d_in} {l.d_out} {l.kw} {l.dw} {l.nonlinearity}" for l in spec.layers
-    ) + "\n"
-
-
-def raw_wave_reference_spec(num_labels: int = 30) -> NetworkSpec:
-    """Reference raw-waveform architecture.
+def load_reference_config() -> NetworkSpec:
+    """Reference raw-waveform architecture, read from ``configs/raw_wave.cfg``.
 
     Two strided front layers eat the 16 kHz sample stream, a stack of
     narrow layers widens the context, and the last two kw=1 layers act
-    as fully connected classifiers.  The composition has kernel width
-    31280 and stride 320: a 1955 ms window stepping every 20 ms.
+    as fully connected classifiers over 30 labels.  The composition has
+    kernel width 31280 and stride 320: a 1955 ms window stepping every
+    20 ms.
     """
-    layers = [ConvLayerSpec(1, 250, 240, 160), ConvLayerSpec(250, 250, 49, 2)]
-    layers += [ConvLayerSpec(250, 250, 8, 1) for _ in range(7)]
-    layers += [
-        ConvLayerSpec(250, 2000, 25, 1),
-        ConvLayerSpec(2000, 2000, 1, 1),
-        ConvLayerSpec(2000, num_labels, 1, 1, "none"),
-    ]
-    return NetworkSpec(layers)
-
-
-def load_reference_config(name: str = "raw_wave.cfg") -> NetworkSpec:
-    text = resources.files("convasr.configs").joinpath(name).read_text()
+    text = resources.files("convasr.configs").joinpath("raw_wave.cfg").read_text()
     return parse_network_spec(text)

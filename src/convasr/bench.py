@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import asg_loss, ctc_loss, log_softmax
+from .criterion import TransitionTable, asg_loss, ctc_loss, log_softmax
 
 
 @dataclass
@@ -66,8 +66,6 @@ class BenchRow:
 
 
 def _random_instances(cfg: BenchConfig, batch: int, criterion: str, rng):
-    from .criterion import TransitionTable
-
     emissions, labels = [], []
     for _ in range(batch):
         f = rng.standard_normal((cfg.frames, cfg.vocab))

@@ -58,6 +58,12 @@ class DecoderConfig:
     silence: str = "optional"  # between words: "none", "optional", "mandatory"
 
     def __post_init__(self):
+        # a NaN or infinite weight, or a negative alpha on a -inf LM
+        # score, makes totals NaN or +inf, and pruning then drops them all
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and >= 0")
+        if not math.isfinite(self.beta):
+            raise ValueError("beta must be finite")
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
         if not self.beam_threshold > 0:

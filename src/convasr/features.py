@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+SAMPLE_RATE = 16000  # Hz
 WINDOW_MS = 25.0
 STRIDE_MS = 10.0
 N_FFT = 512
@@ -32,7 +33,7 @@ class FeatureError(ValueError):
 @dataclass
 class Waveform:
     samples: np.ndarray  # mono, float64, nominally in [-1, 1]
-    sample_rate: int = 16000
+    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -105,8 +106,7 @@ def _frame_signal(samples: np.ndarray, window: int, hop: int) -> np.ndarray:
             f"input of {len(samples)} samples is shorter than one "
             f"{window}-sample analysis window"
         )
-    view = np.lib.stride_tricks.sliding_window_view(samples, window)[::hop]
-    return view[:n]
+    return np.lib.stride_tricks.sliding_window_view(samples, window)[::hop]
 
 
 def power_spectrum(w: Waveform) -> FeatureSequence:

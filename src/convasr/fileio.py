@@ -16,7 +16,7 @@ per-label start scores, rows 1..L the transition matrix.
 Model checkpoints use magic b"CKP1": uint32 layer count, then per layer
 five uint32 fields (d_in, d_out, kw, dw, nonlinearity code) followed by
 the float32 weight and bias blobs, then an (L+1) x L float32 transition
-block.
+block.  A nonlinearity code is its index in ``acoustic.NONLINEARITIES``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ import stat
 import struct
 
 import numpy as np
+
+from .acoustic import NONLINEARITIES, ConvLayerSpec, LayerParams, ModelParams, NetworkSpec
+from .criterion import TransitionTable
+from .features import FeatureSequence
 
 MATRIX_MAGIC = b"FSQ1"
 CHECKPOINT_MAGIC = b"CKP1"
@@ -80,8 +84,6 @@ def write_features(path, feats) -> None:
 
 
 def read_features(path):
-    from .features import FeatureSequence
-
     frames, stride_ms, window_ms = read_matrix(path)
     return FeatureSequence(frames.astype(np.float64), stride_ms, window_ms)
 
@@ -91,8 +93,6 @@ def _transition_block(table) -> np.ndarray:
 
 
 def _transition_table(block):
-    from .criterion import TransitionTable
-
     return TransitionTable(
         trans=block[1:].astype(np.float64), start=block[0].astype(np.float64)
     )
@@ -109,10 +109,6 @@ def read_transitions(path):
     return _transition_table(block)
 
 
-_NONLIN_CODES = {"hardtanh": 0, "tanh": 1, "relu": 2, "none": 3}
-_NONLIN_NAMES = {v: k for k, v in _NONLIN_CODES.items()}
-
-
 def save_checkpoint(path, spec, params, transitions) -> None:
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
@@ -125,7 +121,7 @@ def save_checkpoint(path, spec, params, transitions) -> None:
                     layer.d_out,
                     layer.kw,
                     layer.dw,
-                    _NONLIN_CODES[layer.nonlinearity],
+                    NONLINEARITIES.index(layer.nonlinearity),
                 )
             )
             f.write(np.ascontiguousarray(lp.w, dtype="<f4").tobytes())
@@ -136,8 +132,6 @@ def save_checkpoint(path, spec, params, transitions) -> None:
 
 
 def load_checkpoint(path):
-    from .acoustic import ConvLayerSpec, LayerParams, ModelParams, NetworkSpec
-
     def read_exact(f, n, what):
         return _read_exact(f, n, f"{path}: truncated {what}")
 
@@ -148,13 +142,13 @@ def load_checkpoint(path):
         layers, lparams = [], []
         for _ in range(n_layers):
             d_in, d_out, kw, dw, code = struct.unpack("<5I", read_exact(f, 20, "layer header"))
-            if code not in _NONLIN_NAMES:
+            if code >= len(NONLINEARITIES):
                 raise FormatError(f"{path}: unknown nonlinearity code {code}")
             w = np.frombuffer(
                 read_exact(f, 4 * d_out * d_in * kw, "weights"), dtype="<f4"
             ).reshape(d_out, d_in, kw)
             b = np.frombuffer(read_exact(f, 4 * d_out, "bias"), dtype="<f4")
-            layers.append(ConvLayerSpec(d_in, d_out, kw, dw, _NONLIN_NAMES[code]))
+            layers.append(ConvLayerSpec(d_in, d_out, kw, dw, NONLINEARITIES[code]))
             lparams.append(LayerParams(w.astype(np.float64), b.astype(np.float64)))
         (n_labels,) = struct.unpack("<I", read_exact(f, 4, "transition header"))
         block = np.frombuffer(

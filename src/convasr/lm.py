@@ -220,13 +220,6 @@ def score_word(lm: NGramLM, state: tuple, word):
     return score, new_state
 
 
-def unigram_score(lm: NGramLM, word: str) -> float:
-    hit = lm.tables[1].get((lm.word_id(word),))
-    if hit is None:
-        raise LMError(f"word {word!r} has no unigram entry")
-    return hit[0]
-
-
 def sentence_logprob(lm: NGramLM, sentence) -> float:
     """Log10 probability of a word sequence with sentence sentinels.
 
@@ -247,7 +240,6 @@ def sentence_logprob(lm: NGramLM, sentence) -> float:
 
 @dataclass
 class TrieNode:
-    label: int  # grapheme id on the incoming edge (-1 at the root)
     children: dict = field(default_factory=dict)  # grapheme id -> TrieNode
     word_ids: list = field(default_factory=list)  # words whose spelling ends here
     smeared: float = 0.0  # best unigram log10 score in this subtree
@@ -287,7 +279,7 @@ def _insert(root: TrieNode, wid: int, word: str, spelling, alphabet: Alphabet) -
         prev = gid
         nxt = node.children.get(gid)
         if nxt is None:
-            nxt = TrieNode(label=gid)
+            nxt = TrieNode()
             node.children[gid] = nxt
         node = nxt
     node.word_ids.append(wid)
@@ -307,7 +299,7 @@ def build_lexicon(words, alphabet: Alphabet, spellings=None) -> LexiconTrie:
             if any(ch.isspace() for ch in w):
                 raise LMError(f"lexicon word {w!r} contains whitespace")
             spellings.append(encode_transcription(w, alphabet))
-    root = TrieNode(label=-1)
+    root = TrieNode()
     for wid, spelling in enumerate(spellings):
         _insert(root, wid, words[wid], spelling, alphabet)
     return LexiconTrie(root, words, [list(s) for s in spellings], alphabet)
@@ -320,7 +312,7 @@ def smear(trie: LexiconTrie, lm: NGramLM) -> LexiconTrie:
     word's language-model score.  Every lexicon word must be in the LM
     vocabulary.  Mutates and returns the trie.
     """
-    word_scores = [unigram_score(lm, w) for w in trie.words]
+    word_scores = [score_word(lm, (), w)[0] for w in trie.words]
 
     def visit(node: TrieNode) -> float:
         scores = [word_scores[wid] for wid in node.word_ids]
@@ -342,7 +334,7 @@ def save_lexicon(trie: LexiconTrie, path) -> None:
 
 def load_lexicon(path, alphabet: Alphabet) -> LexiconTrie:
     """Read a ``save_lexicon`` file; malformed input raises with a line number."""
-    root = TrieNode(label=-1)
+    root = TrieNode()
     words, spellings = [], []
     for lineno, line in enumerate(_read_text(path, LMError).splitlines(), 1):
         if not line.strip():

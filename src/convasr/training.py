@@ -19,6 +19,7 @@ import numpy as np
 from .alphabet import Alphabet, collapse_path, decode_labels, encode_transcription, make_alphabet
 from .acoustic import (
     AcousticError,
+    ConvLayerSpec,
     ModelParams,
     NetworkSpec,
     init_params,
@@ -26,7 +27,7 @@ from .acoustic import (
     network_forward_cached,
 )
 from .criterion import TransitionTable, _as_scores, asg_loss, build_full_graph, viterbi
-from .features import Waveform, mfcc, normalize
+from .features import SAMPLE_RATE, Waveform, mfcc, normalize
 from .metrics import levenshtein
 
 
@@ -40,7 +41,6 @@ class ToyTaskConfig:
     min_tone_ms: float = 80.0
     max_tone_ms: float = 140.0
     noise_std: float = 0.05
-    sample_rate: int = 16000
     seed: int = 0
 
 
@@ -50,7 +50,6 @@ def make_toy_dataset(cfg: ToyTaskConfig):
         raise ValueError("need one tone frequency per letter")
     alphabet = make_alphabet(cfg.letters)
     rng = np.random.default_rng(cfg.seed)
-    rate = cfg.sample_rate
     samples = []
     for _ in range(cfg.num_samples):
         length = int(rng.integers(cfg.min_word_len, cfg.max_word_len + 1))
@@ -64,12 +63,12 @@ def make_toy_dataset(cfg: ToyTaskConfig):
         chunks = []
         for li in word:
             dur = rng.uniform(cfg.min_tone_ms, cfg.max_tone_ms) / 1000.0
-            t = np.arange(int(dur * rate)) / rate
+            t = np.arange(int(dur * SAMPLE_RATE)) / SAMPLE_RATE
             phase = rng.uniform(0.0, 2 * np.pi)
             chunks.append(0.5 * np.sin(2 * np.pi * cfg.tone_hz[li] * t + phase))
         wave = np.concatenate(chunks)
         wave += cfg.noise_std * rng.standard_normal(len(wave))
-        feats = normalize(mfcc(Waveform(wave, rate)))
+        feats = normalize(mfcc(Waveform(wave, SAMPLE_RATE)))
         samples.append((feats, "".join(cfg.letters[i] for i in word)))
     return alphabet, samples
 
@@ -194,8 +193,6 @@ def train_toy(
 
 
 def default_toy_network(d_in: int = 39, num_labels: int = 8) -> NetworkSpec:
-    from .acoustic import ConvLayerSpec
-
     return NetworkSpec(
         [
             ConvLayerSpec(d_in, 40, 7, 3, "hardtanh"),

@@ -22,7 +22,6 @@ from convasr.acoustic import (
     conv1d_backward,
     conv1d_forward,
     load_reference_config,
-    raw_wave_reference_spec,
     receptive_field,
 )
 from convasr.alphabet import decode_labels, default_alphabet, encode_transcription, make_alphabet
@@ -36,7 +35,7 @@ from convasr.criterion import (
 )
 from convasr.decoder import DecodeError, DecoderConfig, decode, exhaustive_decode
 from convasr.fileio import read_matrix, write_matrix
-from convasr.lm import build_lexicon, load_arpa, save_arpa, score_word, smear, unigram_score
+from convasr.lm import build_lexicon, load_arpa, save_arpa, score_word, smear
 from convasr.training import ToyTaskConfig, TrainConfig, default_toy_network, make_toy_dataset, train_toy
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -281,11 +280,10 @@ def test_criterion_6_benchmark_shape():
 def test_criterion_7_receptive_field_arithmetic():
     """Reference raw-wave config composes to exactly (31280, 320)."""
     with criterion_report(7, "receptive field (31280, 320) = 1955 ms / 20 ms at 16 kHz"):
-        for spec in (raw_wave_reference_spec(), load_reference_config()):
-            kw, dw = receptive_field(spec)
-            assert (kw, dw) == (31280, 320)
-            assert kw / 16.0 == 1955.0  # ms at 16 kHz
-            assert dw / 16.0 == 20.0
+        kw, dw = receptive_field(load_reference_config())
+        assert (kw, dw) == (31280, 320)
+        assert kw / 16.0 == 1955.0  # ms at 16 kHz
+        assert dw / 16.0 == 20.0
 
 
 def test_criterion_8_lm_correctness(tmp_path, hand_arpa):
@@ -316,7 +314,7 @@ def test_criterion_8_lm_correctness(tmp_path, hand_arpa):
             words = ["cat", "cab", "ca", "dog", "do", "ball", "bat"][: rng.integers(2, 8)]
             rlm = load_arpa(make_bigram_arpa(tmp_path / f"s{trial}.arpa", words, rng))
             trie = smear(build_lexicon(words, alphabet), rlm)
-            scores = [unigram_score(rlm, w) for w in words]
+            scores = [score_word(rlm, (), w)[0] for w in words]
 
             def visit(node):
                 assert node.smeared == oracles.subtree_best_unigram(node, scores)

@@ -9,15 +9,12 @@ from convasr.acoustic import (
     NetworkSpec,
     conv1d_backward,
     conv1d_forward,
-    format_network_spec,
     init_params,
     load_reference_config,
-    min_input_frames,
     network_backward,
     network_forward,
     network_forward_cached,
     parse_network_spec,
-    raw_wave_reference_spec,
     receptive_field,
 )
 
@@ -200,23 +197,19 @@ class TestReceptiveField:
             assert spec.out_frames(t_in) == (t_in - kw) // dw + 1
 
     def test_reference_raw_config(self):
-        spec = raw_wave_reference_spec()
+        spec = load_reference_config()
         assert receptive_field(spec) == (31280, 320)
         # 16 kHz: 1955 ms window, 20 ms steps
         assert 31280 / 16 == 1955.0
         assert 320 / 16 == 20.0
         assert spec.layers[-1].kw == 1 and spec.layers[-2].kw == 1
 
-    def test_shipped_config_file_matches(self):
-        spec = load_reference_config()
-        assert spec == raw_wave_reference_spec()
-
     def test_raw_wave_net_runs_on_synthetic_signal(self):
         # structural check on actual samples: 2.5 s of noise at 16 kHz
         # yields one 30-label score row every 320 samples past the first
         # 31280-sample window
         rng = np.random.default_rng(11)
-        spec = raw_wave_reference_spec()
+        spec = load_reference_config()
         params = init_params(spec, rng)
         samples = 40000
         out = network_forward(0.1 * rng.standard_normal((samples, 1)), spec, params)
@@ -226,7 +219,7 @@ class TestReceptiveField:
 
     def test_raw_wave_net_too_short_input(self):
         rng = np.random.default_rng(12)
-        spec = raw_wave_reference_spec()
+        spec = load_reference_config()
         params = init_params(spec, rng)
         with pytest.raises(AcousticError, match="31280"):
             network_forward(np.zeros((31279, 1)), spec, params)
@@ -251,7 +244,7 @@ class TestNetwork:
 
     def test_too_short_names_minimum(self):
         spec = NetworkSpec([ConvLayerSpec(1, 1, 3, 2), ConvLayerSpec(1, 1, 3, 2)])
-        with pytest.raises(AcousticError, match=str(min_input_frames(spec))):
+        with pytest.raises(AcousticError, match=str(receptive_field(spec)[0])):
             network_forward(np.zeros((4, 1)), spec, init_params(spec, np.random.default_rng(0)))
 
     def test_deterministic(self):
@@ -300,10 +293,6 @@ class TestNetwork:
 
 
 class TestSpecParsing:
-    def test_round_trip(self):
-        spec = raw_wave_reference_spec()
-        assert parse_network_spec(format_network_spec(spec)) == spec
-
     def test_comments_and_blanks_ignored(self):
         spec = parse_network_spec("# comment\n\n1 2 3 1 relu\n")
         assert spec.layers == (ConvLayerSpec(1, 2, 3, 1, "relu"),)

@@ -299,6 +299,18 @@ class TestDecodeCommand:
         assert code == 1 and out == "" and err.startswith("error:") and "NaN" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--alpha", "nan"), ("--alpha", "-1"), ("--beta", "nan"), ("--beta", "inf")]
+    )
+    def test_non_finite_or_negative_weight_is_an_input_error(self, tmp_path, capsys, flag, value):
+        self.setup_fixture(tmp_path)
+        code, out, err = run(
+            capsys, "decode", "--emissions", tmp_path / "e.bin", "--arpa", tmp_path / "lm.arpa",
+            "--lexicon", tmp_path / "lex.txt", "--alphabet", tmp_path / "ab.txt", flag, value,
+        )
+        assert code == 1 and out == "" and err.startswith("error:") and flag[2:] in err
+        assert "Traceback" not in err
+
     def test_pruning_failure_exit_code(self, tmp_path, capsys):
         alphabet = self.setup_fixture(tmp_path)
         # all mass on silence and a 1-hypothesis beam: nothing completes

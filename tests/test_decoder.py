@@ -501,3 +501,17 @@ class TestConfigValidation:
     def test_bad_silence(self):
         with pytest.raises(ValueError):
             DecoderConfig(silence="always")
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_alpha_must_be_finite_and_non_negative(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            DecoderConfig(alpha=alpha)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_beta_must_be_finite(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            DecoderConfig(beta=beta)
+
+    def test_zero_alpha_and_negative_beta_accepted(self):
+        cfg = DecoderConfig(alpha=0.0, beta=-5.0)
+        assert (cfg.alpha, cfg.beta) == (0.0, -5.0)

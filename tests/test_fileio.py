@@ -136,6 +136,39 @@ class TestCheckpoint:
         np.testing.assert_array_equal(tr2.trans, tr.trans)
         np.testing.assert_array_equal(tr2.start, tr.start)
 
+    def test_every_nonlinearity_round_trips_with_its_code(self, tmp_path):
+        spec = NetworkSpec(
+            [
+                ConvLayerSpec(2, 3, 2, 1, "hardtanh"),
+                ConvLayerSpec(3, 3, 1, 1, "tanh"),
+                ConvLayerSpec(3, 2, 2, 2, "relu"),
+                ConvLayerSpec(2, 4, 1, 1, "none"),
+            ]
+        )
+        params = init_params(spec, np.random.default_rng(6))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, spec, params, TransitionTable.zeros(4))
+        spec2, _, _ = load_checkpoint(path)
+        assert spec2 == spec
+        # the codes on disk: hardtanh 0, tanh 1, relu 2, none 3
+        data = path.read_bytes()
+        offset, codes = 8, []
+        for layer in spec.layers:
+            codes.append(struct.unpack_from("<5I", data, offset)[4])
+            offset += 20 + 4 * (layer.d_out * layer.d_in * layer.kw + layer.d_out)
+        assert codes == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("code", [4, 2**32 - 1])
+    def test_unknown_nonlinearity_code(self, tmp_path, code):
+        spec = NetworkSpec([ConvLayerSpec(2, 2, 2, 1)])
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, spec, init_params(spec, np.random.default_rng(7)), TransitionTable.zeros(2))
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 24, code)  # magic, layer count, d_in d_out kw dw
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"unknown nonlinearity code {code}"):
+            load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         (tmp_path / "x.ckpt").write_bytes(b"WHAT\0\0\0\0")
         with pytest.raises(FormatError, match="magic"):

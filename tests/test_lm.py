@@ -15,7 +15,6 @@ from convasr.lm import (
     score_word,
     sentence_logprob,
     smear,
-    unigram_score,
 )
 
 import oracles
@@ -78,7 +77,7 @@ class TestArpaParser:
         path = tmp_path / "zero.arpa"
         path.write_text(HAND_ARPA.replace("-0.5\tc", "-inf\tc").replace("b\t-0.2", "b\t-inf"))
         lm = load_arpa(path)
-        assert unigram_score(lm, "c") == -math.inf
+        assert score_word(lm, (), "c")[0] == -math.inf
         assert lm.tables[1][(lm.word_id("b"),)][1] == -math.inf
 
     def test_error_carries_line_number(self, tmp_path):
@@ -253,7 +252,7 @@ class TestSmearing:
 
     def test_single_word_path_carries_its_score(self, tmp_path):
         lm, trie = self.make(tmp_path, ["cat"])
-        want = unigram_score(lm, "cat")
+        want = score_word(lm, (), "cat")[0]
         node = trie.root
         for gid in trie.spellings[0]:
             node = node.children[gid]
@@ -262,12 +261,12 @@ class TestSmearing:
     def test_root_is_vocabulary_max(self, tmp_path):
         words = ["cat", "dog", "bird", "fish"]
         lm, trie = self.make(tmp_path, words)
-        assert trie.root.smeared == max(unigram_score(lm, w) for w in words)
+        assert trie.root.smeared == max(score_word(lm, (), w)[0] for w in words)
 
     def test_matches_bruteforce_subtree_max(self, tmp_path):
         words = ["cat", "cab", "ca", "dog", "do"]
         lm, trie = self.make(tmp_path, words, seed=3)
-        scores = [unigram_score(lm, w) for w in words]
+        scores = [score_word(lm, (), w)[0] for w in words]
 
         def visit(node):
             assert node.smeared == oracles.subtree_best_unigram(node, scores)

@@ -1,0 +1,160 @@
+"""Property-based checks of invariants the criteria, the transcription
+coding, the ARPA files and the decoder state for every input."""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from convasr.alphabet import decode_labels, default_alphabet, encode_transcription, make_alphabet
+from convasr.criterion import TransitionTable, asg_loss, ctc_loss, log_softmax
+from convasr.decoder import DecodeError, DecoderConfig, decode
+from convasr.lm import LN10, NGramLM, build_lexicon, load_arpa, save_arpa, sentence_logprob, smear
+
+from conftest import make_bigram_arpa
+
+_PROPS = settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+_SCORE = st.floats(-30.0, 30.0)
+
+
+@st.composite
+def _labels(draw, num_labels: int, max_len: int):
+    """A label sequence with no adjacent repeats, as both criteria accept."""
+    length = draw(st.integers(1, max_len))
+    seq = [draw(st.integers(0, num_labels - 1))]
+    while len(seq) < length and num_labels > 1:
+        nxt = draw(st.integers(0, num_labels - 2))
+        seq.append(nxt if nxt < seq[-1] else nxt + 1)
+    return seq
+
+
+@st.composite
+def _asg_instance(draw):
+    t = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 6))
+    f = draw(arrays(np.float64, (t, n), elements=_SCORE))
+    tr = TransitionTable(
+        draw(arrays(np.float64, (n, n), elements=_SCORE)),
+        draw(arrays(np.float64, n, elements=_SCORE)),
+    )
+    return f, tr, draw(_labels(n, t))
+
+
+@st.composite
+def _ctc_instance(draw):
+    t = draw(st.integers(1, 12))
+    n = draw(st.integers(2, 6))  # the last label is the blank
+    f = log_softmax(draw(arrays(np.float64, (t, n), elements=_SCORE)))
+    return f, draw(_labels(n - 1, t)), n - 1
+
+
+class TestCriteria:
+    @_PROPS
+    @given(_asg_instance())
+    def test_asg_loss_non_negative_and_emission_rows_sum_to_zero(self, instance):
+        f, tr, labels = instance
+        result = asg_loss(f, tr, labels)
+        assert result.loss >= 0.0
+        np.testing.assert_allclose(result.d_emissions.sum(axis=1), 0.0, rtol=0, atol=1e-9)
+
+    @_PROPS
+    @given(_ctc_instance())
+    def test_ctc_loss_non_negative_on_normalized_rows(self, instance):
+        f, labels, blank = instance
+        assert ctc_loss(f, labels, blank).loss >= 0.0
+
+
+class TestTranscriptionCoding:
+    @_PROPS
+    @given(st.text(alphabet="abcxyzABZ' \t\n\r\x0b\x0c", max_size=40))
+    def test_encode_decode_round_trip(self, text):
+        alphabet = default_alphabet()
+        back = decode_labels(encode_transcription(text, alphabet), alphabet)
+        assert back == " ".join(text.lower().split())
+
+
+# ARPA words: no whitespace, line breaks or control characters
+_WORD = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=4)
+_PROB = st.floats(allow_nan=False, max_value=0.0)
+# a -0.0 backoff is written as absent and reads back as 0.0
+_BACKOFF = st.floats(allow_nan=False, max_value=sys.float_info.max).map(lambda b: b + 0.0)
+
+
+@st.composite
+def _ngram_lm(draw):
+    words = draw(st.lists(_WORD, min_size=1, max_size=6, unique=True))
+    order = draw(st.integers(1, 3))
+    tables = [{}]
+    for n in range(1, order + 1):
+        if n == 1:
+            keys = [(i,) for i in range(len(words))]
+        else:
+            key = st.tuples(*[st.integers(0, len(words) - 1)] * n)
+            keys = draw(st.lists(key, max_size=8, unique=True))
+        backoff = _BACKOFF if n < order else st.just(0.0)
+        tables.append({k: (draw(_PROB), draw(backoff)) for k in keys})
+    return NGramLM(order, {w: i for i, w in enumerate(words)}, words, tables)
+
+
+def _bits(table):
+    return [(k, p.hex(), b.hex()) for k, (p, b) in table.items()]
+
+
+class TestArpaFiles:
+    @_PROPS
+    @given(_ngram_lm())
+    def test_save_load_bit_exact(self, tmp_path, lm):
+        path = tmp_path / "lm.arpa"
+        save_arpa(lm, path)
+        back = load_arpa(path)
+        assert (back.order, back.vocab, back.words) == (lm.order, lm.vocab, lm.words)
+        assert [_bits(t) for t in back.tables] == [_bits(t) for t in lm.tables]
+
+
+_LETTERS = "abcd"
+_WORD_POOL = ["ab", "ba", "cad", "d", "abc", "bd", "dab"]
+
+
+@st.composite
+def _decode_instance(draw):
+    alphabet = make_alphabet(_LETTERS)
+    t = draw(st.integers(1, 8))
+    f = draw(arrays(np.float64, (t, len(alphabet)), elements=st.floats(-5.0, 5.0)))
+    cfg = DecoderConfig(
+        alpha=draw(st.floats(0.0, 2.0)),
+        beta=draw(st.floats(-2.0, 2.0)),
+        beam_size=draw(st.integers(1, 50)),
+        mode=draw(st.sampled_from(["max", "logadd"])),
+        silence=draw(st.sampled_from(["none", "optional", "mandatory"])),
+    )
+    words = draw(st.lists(st.sampled_from(_WORD_POOL), min_size=1, max_size=4, unique=True))
+    return alphabet, f, cfg, words, draw(st.integers(0, 2**32 - 1))
+
+
+class TestDecoder:
+    @_PROPS
+    @given(_decode_instance())
+    def test_totals_decompose(self, tmp_path, instance):
+        alphabet, f, cfg, words, seed = instance
+        lm = load_arpa(make_bigram_arpa(tmp_path / "lm.arpa", words, np.random.default_rng(seed)))
+        lexicon = smear(build_lexicon(words, alphabet), lm)
+        try:
+            results = decode(f, TransitionTable.zeros(len(alphabet)), lm, lexicon, cfg, nbest=5)
+        except DecodeError:
+            return
+        for r in results:
+            want = r.acoustic + cfg.alpha * r.lm + cfg.beta * r.num_words
+            assert math.isclose(r.score, want, rel_tol=1e-12, abs_tol=1e-9)
+            assert math.isclose(r.lm, LN10 * sentence_logprob(lm, r.words), rel_tol=1e-12)
