@@ -19,8 +19,16 @@ import numpy as np
 
 from .criterion import EmissionTable
 
-# a checkpoint stores a nonlinearity as its index here: append, never reorder
-NONLINEARITIES = ("hardtanh", "tanh", "relu", "none")
+# name -> (forward, derivative at the pre-activation); a checkpoint stores
+# a nonlinearity as its index in this table: append, never reorder
+_NONLIN = {
+    # the hardtanh subgradient is 0 at the kinks (|z| = 1)
+    "hardtanh": (lambda z: np.clip(z, -1.0, 1.0), lambda z: ((z > -1.0) & (z < 1.0)).astype(np.float64)),
+    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(np.float64)),
+    "none": (lambda z: z, np.ones_like),
+}
+NONLINEARITIES = tuple(_NONLIN)
 
 
 class AcousticError(ValueError):
@@ -135,27 +143,6 @@ def conv1d_backward(
     return d_x, d_w, d_b
 
 
-def _nonlin_forward(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "hardtanh":
-        return np.clip(z, -1.0, 1.0)
-    if kind == "tanh":
-        return np.tanh(z)
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return z
-
-
-def _nonlin_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    # hardtanh subgradient is 0 at the kinks (|z| = 1)
-    if kind == "hardtanh":
-        return ((z > -1.0) & (z < 1.0)).astype(np.float64)
-    if kind == "tanh":
-        return 1.0 - np.tanh(z) ** 2
-    if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    return np.ones_like(z)
-
-
 def network_forward(features, spec: NetworkSpec, params: ModelParams) -> EmissionTable:
     """Run the network over a feature sequence; returns raw emission scores.
 
@@ -181,7 +168,7 @@ def network_forward_cached(x: np.ndarray, spec: NetworkSpec, params: ModelParams
         inputs.append(x)
         z = conv1d_forward(x, layer, lp)
         preacts.append(z)
-        x = _nonlin_forward(z, layer.nonlinearity)
+        x = _NONLIN[layer.nonlinearity][0](z)
     return x, (inputs, preacts)
 
 
@@ -192,7 +179,7 @@ def network_backward(spec: NetworkSpec, params: ModelParams, cache, d_out: np.nd
     d = np.asarray(d_out, dtype=np.float64)
     for i in range(len(spec.layers) - 1, -1, -1):
         layer, lp = spec.layers[i], params.layers[i]
-        d = d * _nonlin_grad(preacts[i], layer.nonlinearity)
+        d = d * _NONLIN[layer.nonlinearity][1](preacts[i])
         d, d_w, d_b = conv1d_backward(inputs[i], layer, lp, d)
         grads[i] = LayerParams(d_w, d_b)
     return grads, d

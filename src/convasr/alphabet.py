@@ -10,6 +10,7 @@ adjacent labels, which is what the lattice criteria rely on.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 DEFAULT_LETTERS = "abcdefghijklmnopqrstuvwxyz'"
@@ -72,7 +73,7 @@ class Alphabet:
 
 def default_alphabet() -> Alphabet:
     """The 30-symbol inventory: a-z, apostrophe, silence, and "2"/"3"."""
-    return Alphabet(tuple(DEFAULT_LETTERS) + (SILENCE, REP2, REP3))
+    return make_alphabet(DEFAULT_LETTERS)
 
 
 def make_alphabet(letters: str) -> Alphabet:
@@ -94,35 +95,18 @@ def encode_transcription(text: str, alphabet: Alphabet) -> list[int]:
     text contains a symbol outside the inventory.
     """
     lowered = text.lower()
-    ids: list[int] = []
-    n = len(lowered)
-    i = 0
-    pending_sep = False
-    while i < n:
-        ch = lowered[i]
-        if ch.isspace():
-            pending_sep = True
-            i += 1
-            continue
-        if ch in (SILENCE, REP2, REP3) or ch not in alphabet.index:
+    for i, ch in enumerate(lowered):
+        if not ch.isspace() and (ch in (SILENCE, REP2, REP3) or ch not in alphabet.index):
             raise AlphabetError(f"unspellable character {ch!r} at offset {i}")
-        if pending_sep and ids:
+    ids: list[int] = []
+    for word in lowered.split():
+        if ids:
             ids.append(alphabet.silence_id)
-        pending_sep = False
-        run = 1
-        while i + run < n and lowered[i + run] == ch:
-            run += 1
-        label = alphabet.index[ch]
-        remaining = run
-        while remaining > 0:
-            chunk = min(remaining, 3)
-            ids.append(label)
-            if chunk == 2:
-                ids.append(alphabet.rep2_id)
-            elif chunk == 3:
-                ids.append(alphabet.rep3_id)
-            remaining -= chunk
-        i += run
+        for ch, run in itertools.groupby(word):
+            for left in range(len(list(run)), 0, -3):
+                ids.append(alphabet.index[ch])
+                if left > 1:
+                    ids.append(alphabet.rep2_id if left == 2 else alphabet.rep3_id)
     return ids
 
 

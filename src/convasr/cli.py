@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -150,21 +151,32 @@ _TASK_KEYS = ("letters", "num_samples", "min_word_len", "max_word_len", "seed")
 _TRAIN_KEYS = ("epochs", "learning_rate", "clip_norm", "holdout_fraction", "seed", "stop_ler")
 
 
+def _config_from(cls, cfg: dict, keys):
+    """``cls`` from the ``keys`` that ``cfg`` sets, each checked against its field's type."""
+    given = {k: cfg[k] for k in keys if k in cfg}
+    for key, value in given.items():
+        want = typing.get_type_hints(cls)[key]
+        if type(value) is bool or not isinstance(value, (want, int) if isinstance(0.0, want) else want):
+            raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
+    return cls(**given)
+
+
 def _cmd_train_toy(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
     for key in _TRAIN_REQUIRED:
         if key not in cfg:
             raise ValueError(f"config is missing required key {key!r}")
-    task = training.ToyTaskConfig(**{k: cfg[k] for k in _TASK_KEYS if k in cfg})
+    task = _config_from(training.ToyTaskConfig, cfg, _TASK_KEYS)
+    train_cfg = _config_from(training.TrainConfig, cfg, _TRAIN_KEYS)
     alphabet, data = training.make_toy_dataset(task)
     if "layers" in cfg:
-        spec = acoustic.NetworkSpec(
-            [acoustic.ConvLayerSpec(*layer[:4], layer[4]) for layer in cfg["layers"]]
-        )
+        for row in cfg["layers"]:
+            if not isinstance(row, list) or list(map(type, row)) != [int, int, int, int, str]:
+                raise ValueError(f"config layers row {row!r} is not four integers and a name")
+        spec = acoustic.NetworkSpec([acoustic.ConvLayerSpec(*row) for row in cfg["layers"]])
     else:
         spec = training.default_toy_network(39, len(alphabet))
-    train_cfg = training.TrainConfig(**{k: cfg[k] for k in _TRAIN_KEYS if k in cfg})
     result = training.train_toy(data, alphabet, spec, train_cfg)
     fileio.save_checkpoint(cfg["checkpoint"], spec, result.params, result.transitions)
     with open(cfg["curve"], "w") as fh:

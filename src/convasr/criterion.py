@@ -88,14 +88,6 @@ class EmissionTable:
         if self.normalized and np.max(np.abs(_lse(self.scores, 1))) > 1e-5:
             raise CriterionError("rows marked normalized do not logadd to 0")
 
-    @property
-    def num_frames(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def num_labels(self) -> int:
-        return self.scores.shape[1]
-
 
 @dataclass
 class TransitionTable:
@@ -279,7 +271,7 @@ def _state_scores(graph: Lattice, emissions, tr: TransitionTable):
         raise CriterionError(
             f"transition table covers {tr.num_labels} labels, emissions {f.shape[1]}"
         )
-    if graph.labels.max() >= f.shape[1]:
+    if graph.labels.min() < 0 or graph.labels.max() >= f.shape[1]:
         raise CriterionError("graph refers to labels outside the emission table")
     lab = graph.labels
     start = np.where(graph.initial, tr.start[lab], NEG_INF)
@@ -343,14 +335,12 @@ class _FBResult:
     log_z: float
     label_marginals: np.ndarray  # (T, L)
     trans_marginals: np.ndarray | None  # (L, L)
-    start_marginals: np.ndarray | None  # (L,)
 
 
 def forward_backward(graph: Lattice, emissions, transitions: TransitionTable | None) -> _FBResult:
-    """Forward score plus posterior marginals for states, transitions,
-    and start scores (the exact gradient ingredients).  With
-    ``transitions`` None, links and starts score 0 and only the forward
-    score and label marginals are computed (the others are None)."""
+    """Forward score plus label and transition posterior marginals (the
+    exact gradient ingredients).  With ``transitions`` None, links and
+    starts score 0 and the transition marginals are None."""
     f = _as_scores(emissions)
     num_labels = f.shape[1]
     tr = TransitionTable.zeros(num_labels) if transitions is None else transitions
@@ -372,22 +362,13 @@ def forward_backward(graph: Lattice, emissions, transitions: TransitionTable | N
     label_marg = np.zeros((T, num_labels))
     np.add.at(label_marg.T, lab, gamma.T)
     if transitions is None:
-        return _FBResult(log_z, label_marg, None, None)
-    start_marg = np.zeros(num_labels)
-    np.add.at(start_marg, lab, gamma[0])
-
-    # posterior mass of every link summed over frames, scattered once
-    link = np.exp(
-        alpha[:-1, preds] + edge + ahead[1:, None, :S] - log_z
-    ).sum(axis=0)  # (P, S); -1 padding gathers -inf, so exp gives 0
-    valid = preds >= 0
+        return _FBResult(log_z, label_marg, None)
+    # posterior mass of every link summed over frames, scattered once;
+    # a -1 padding gathers the -inf column, so its mass adds exactly 0
+    link = np.exp(alpha[:-1, preds] + edge + ahead[1:, None, :S] - log_z).sum(axis=0)
     trans_marg = np.zeros((num_labels, num_labels))
-    np.add.at(
-        trans_marg,
-        (lab[preds[valid]], np.broadcast_to(lab, preds.shape)[valid]),
-        link[valid],
-    )
-    return _FBResult(log_z, label_marg, trans_marg, start_marg)
+    np.add.at(trans_marg, (lab[preds], lab), link)
+    return _FBResult(log_z, label_marg, trans_marg)
 
 
 def ctc_loss(emissions, labels, blank_id: int, strict: bool = False) -> CriterionResult:
@@ -416,7 +397,9 @@ def asg_loss(emissions, transitions: TransitionTable, labels) -> CriterionResult
     Negative Forward score of the transcription lattice plus the Forward
     score of the fully connected lattice; both use emission and
     transition scores, which may be un-normalized.  Gradients are the
-    difference of posterior marginals (full minus constrained).
+    difference of posterior marginals (full minus constrained); a path
+    pays its start score with its first emission, so the start gradient
+    is the first frame's emission gradient.
     """
     f = _as_scores(emissions)
     graph = build_asg_graph(labels, f.shape[0])
@@ -427,5 +410,5 @@ def asg_loss(emissions, transitions: TransitionTable, labels) -> CriterionResult
         loss=-num.log_z + den.log_z,
         d_emissions=den.label_marginals - num.label_marginals,
         d_transitions=den.trans_marginals - num.trans_marginals,
-        d_start=den.start_marginals - num.start_marginals,
+        d_start=den.label_marginals[0] - num.label_marginals[0],
     )

@@ -150,6 +150,8 @@ def decode(
     no complete hypothesis survives (beam or threshold too tight, or the
     utterance cannot fit any word).
     """
+    if nbest < 1:
+        raise ValueError("nbest must be >= 1")
     f = _checked_scores(emissions, transitions, lexicon)
     sil = lexicon.alphabet.silence_id
     root = lexicon.root
@@ -249,10 +251,10 @@ def decode(
 def _spelling_units(seq_spellings, sil: int, policy: str):
     """Chain units for a word sequence: (labels, optional flags).
 
-    Silence units sit at the ends and between words; an inter-word
-    silence is mandatory when the juncture letters are identical (the
-    lattice cannot represent a direct repeat) or when the policy says
-    so.  Returns None when the sequence is unrepresentable.
+    Silence units sit between words and at the ends (one for no words,
+    so each labeling is one path); an inter-word silence is mandatory
+    between identical juncture letters (the lattice cannot repeat a
+    label directly) or by policy.  Returns None when unrepresentable.
     """
     labels: list[int] = []
     optional: list[bool] = []
@@ -270,7 +272,7 @@ def _spelling_units(seq_spellings, sil: int, policy: str):
                 optional.append(not (same or policy == "mandatory"))
         labels.extend(spelling)
         optional.extend([False] * len(spelling))
-    if policy != "none":
+    if policy != "none" and seq_spellings:
         labels.append(sil)
         optional.append(True)
     if not labels:

@@ -116,6 +116,8 @@ def power_spectrum(w: Waveform) -> FeatureSequence:
     """
     window = int(round(w.sample_rate * WINDOW_MS / 1000.0))
     hop = int(round(w.sample_rate * STRIDE_MS / 1000.0))
+    if hop < 1:
+        raise FeatureError(f"sample rate {w.sample_rate} Hz gives a frame stride under one sample")
     frames = _frame_signal(w.samples, window, hop) * np.hamming(window)
     spec = np.abs(np.fft.rfft(frames, N_FFT, axis=1)) ** 2
     return FeatureSequence(spec, STRIDE_MS, WINDOW_MS)

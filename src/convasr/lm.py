@@ -40,12 +40,6 @@ class NGramLM:
     # backoff is 0.0 when the file omits it
     tables: list
 
-    def word_id(self, word: str) -> int:
-        wid = self.vocab.get(word)
-        if wid is None:
-            raise LMError(f"out-of-vocabulary word: {word!r}")
-        return wid
-
     def start_state(self) -> tuple:
         if BOS in self.vocab:
             return (self.vocab[BOS],)
@@ -178,7 +172,8 @@ def load_arpa(path) -> NGramLM:
 
 
 def save_arpa(lm: NGramLM, path) -> None:
-    """Write the model back out; floats use shortest round-trip form."""
+    """Write the model back out; floats use shortest round-trip form, and
+    a -0.0 backoff is written so that it loads back as -0.0."""
     with open(path, "w", encoding="utf-8") as f:
         f.write("\\data\\\n")
         for n in range(1, lm.order + 1):
@@ -187,21 +182,23 @@ def save_arpa(lm: NGramLM, path) -> None:
             f.write(f"\n\\{n}-grams:\n")
             for key, (prob, backoff) in lm.tables[n].items():
                 gram = " ".join(lm.words[i] for i in key)
-                if n < lm.order and backoff != 0.0:
+                if n < lm.order and (backoff != 0.0 or math.copysign(1.0, backoff) < 0):
                     f.write(f"{prob!r}\t{gram}\t{backoff!r}\n")
                 else:
                     f.write(f"{prob!r}\t{gram}\n")
         f.write("\n\\end\\\n")
 
 
-def score_word(lm: NGramLM, state: tuple, word):
-    """Backoff query: returns (log10 prob, new state).
+def score_word(lm: NGramLM, state: tuple, word: str):
+    """Backoff query for ``word``: returns (log10 prob, new state).
 
     ``state`` is an opaque context of word ids (use ``lm.start_state()``
     to begin a sentence).  If the full n-gram is absent the context's
     backoff weight is added and the context shortened, recursively.
     """
-    wid = word if isinstance(word, int) else lm.word_id(word)
+    wid = lm.vocab.get(word)
+    if wid is None:
+        raise LMError(f"out-of-vocabulary word: {word!r}")
     ctx = tuple(state)[-(lm.order - 1) :] if lm.order > 1 else ()
     score = 0.0
     while True:
@@ -211,7 +208,7 @@ def score_word(lm: NGramLM, state: tuple, word):
             break
         if not ctx:
             # word absent even as a unigram
-            raise LMError(f"word {lm.words[wid]!r} has no unigram entry")
+            raise LMError(f"word {word!r} has no unigram entry")
         bow_entry = lm.tables[len(ctx)].get(ctx)
         if bow_entry is not None:
             score += bow_entry[1]
@@ -285,24 +282,20 @@ def _insert(root: TrieNode, wid: int, word: str, spelling, alphabet: Alphabet) -
     node.word_ids.append(wid)
 
 
-def build_lexicon(words, alphabet: Alphabet, spellings=None) -> LexiconTrie:
-    """Trie over repetition-encoded spellings.
-
-    By default each word is spelled with ``encode_transcription``;
-    explicit ``spellings`` (parallel list of grapheme-id lists) may
-    override, in which case several words can share one node.
-    """
+def build_lexicon(words, alphabet: Alphabet) -> LexiconTrie:
+    """Trie over ``encode_transcription`` spellings; explicit spellings,
+    under which several words can share one node, come from a lexicon
+    file (``load_lexicon``)."""
     words = list(words)
-    if spellings is None:
-        spellings = []
-        for w in words:
-            if any(ch.isspace() for ch in w):
-                raise LMError(f"lexicon word {w!r} contains whitespace")
-            spellings.append(encode_transcription(w, alphabet))
+    spellings = []
+    for w in words:
+        if any(ch.isspace() for ch in w):
+            raise LMError(f"lexicon word {w!r} contains whitespace")
+        spellings.append(encode_transcription(w, alphabet))
     root = TrieNode()
     for wid, spelling in enumerate(spellings):
         _insert(root, wid, words[wid], spelling, alphabet)
-    return LexiconTrie(root, words, [list(s) for s in spellings], alphabet)
+    return LexiconTrie(root, words, spellings, alphabet)
 
 
 def smear(trie: LexiconTrie, lm: NGramLM) -> LexiconTrie:

@@ -283,13 +283,12 @@ class TestNetwork:
             assert oracles.relative_close(d_x.reshape(-1)[i], fd)
 
     def test_hardtanh_subgradient_definition(self):
-        from convasr.acoustic import _nonlin_forward, _nonlin_grad
+        from convasr.acoustic import _NONLIN
 
+        forward, grad = _NONLIN["hardtanh"]
         z = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
-        np.testing.assert_allclose(_nonlin_forward(z, "hardtanh"), np.clip(z, -1, 1))
-        np.testing.assert_allclose(
-            _nonlin_grad(z, "hardtanh"), [0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0]
-        )
+        np.testing.assert_allclose(forward(z), np.clip(z, -1, 1))
+        np.testing.assert_allclose(grad(z), [0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
 
 
 class TestSpecParsing:

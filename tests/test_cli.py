@@ -63,6 +63,21 @@ class TestFeaturesCommand:
         )
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("rate", ["-1", "1", "49", "50", "wav"])
+    def test_rate_under_one_sample_per_stride_is_an_input_error(self, tmp_path, capsys, rate):
+        # at 50 Hz and below the 10 ms frame stride rounds to 0 samples
+        if rate == "wav":
+            save_wav(tmp_path / "x.wav", Waveform(np.zeros(800), sample_rate=50))
+            extra = []
+        else:
+            np.zeros(800, dtype="<i2").tofile(tmp_path / "x.wav")
+            extra = ["--pcm-rate", rate]
+        code, _, err = run(
+            capsys, "features", "--input", tmp_path / "x.wav", "--output", tmp_path / "f.bin", *extra
+        )
+        assert code == 1 and err.startswith("error:") and "stride" in err
+        assert "Traceback" not in err
+
 
 class TestLossCommand:
     def test_uniform_asg_fixture(self, tmp_path, capsys):
@@ -134,6 +149,15 @@ class TestLossCommand:
         assert code == 1 and err.startswith("error:") and "payload" in err
         assert "Traceback" not in err
 
+    def test_negative_blank_id_is_an_input_error(self, tmp_path, capsys):
+        fileio.write_matrix(tmp_path / "e.bin", np.zeros((4, 30), dtype=np.float32))
+        code, _, err = run(
+            capsys, "loss", "--emissions", tmp_path / "e.bin", "--transcription", "ab",
+            "--criterion", "ctc", "--blank-id", "-2",
+        )
+        assert code == 1 and err.startswith("error:") and "outside the emission table" in err
+        assert "Traceback" not in err
+
     def test_infeasible_is_error_exit(self, tmp_path, capsys):
         fileio.write_matrix(tmp_path / "e.bin", np.zeros((1, 30), dtype=np.float32))
         code, _, err = run(
@@ -186,6 +210,26 @@ class TestTrainToyCommand:
         (tmp_path / "cfg.json").write_text(json.dumps({"num_samples": 5}))
         code, _, err = run(capsys, "train-toy", "--config", tmp_path / "cfg.json")
         assert code == 1 and "'epochs'" in err
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ({"layers": [[39, 8, 1, 1]]}, "[39, 8, 1, 1]"),
+            ({"layers": [[39, 8, 1.5, 1, "none"]]}, "1.5"),
+            ({"epochs": "2"}, "'epochs'"),
+            ({"letters": 5}, "'letters'"),
+            ({"stop_ler": True}, "'stop_ler'"),
+        ],
+    )
+    def test_mistyped_key_or_layer_row_named(self, tmp_path, capsys, extra, named):
+        cfg = dict(
+            num_samples=4, epochs=1, learning_rate=0.02, seed=1,
+            checkpoint=str(tmp_path / "t.ckpt"), curve=str(tmp_path / "c.csv"),
+        )
+        (tmp_path / "cfg.json").write_text(json.dumps({**cfg, **extra}))
+        code, _, err = run(capsys, "train-toy", "--config", tmp_path / "cfg.json")
+        assert code == 1 and err.startswith("error:") and named in err
+        assert "Traceback" not in err
 
     def test_lr_zero_flat_curve(self, tmp_path, capsys):
         cfg = dict(
@@ -309,6 +353,16 @@ class TestDecodeCommand:
             "--lexicon", tmp_path / "lex.txt", "--alphabet", tmp_path / "ab.txt", flag, value,
         )
         assert code == 1 and out == "" and err.startswith("error:") and flag[2:] in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("nbest", ["0", "-1"])
+    def test_nbest_below_one_is_an_input_error(self, tmp_path, capsys, nbest):
+        self.setup_fixture(tmp_path)
+        code, out, err = run(
+            capsys, "decode", "--emissions", tmp_path / "e.bin", "--arpa", tmp_path / "lm.arpa",
+            "--lexicon", tmp_path / "lex.txt", "--alphabet", tmp_path / "ab.txt", "--nbest", nbest,
+        )
+        assert code == 1 and out == "" and err.startswith("error:") and "nbest" in err
         assert "Traceback" not in err
 
     def test_pruning_failure_exit_code(self, tmp_path, capsys):

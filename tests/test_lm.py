@@ -78,7 +78,7 @@ class TestArpaParser:
         path.write_text(HAND_ARPA.replace("-0.5\tc", "-inf\tc").replace("b\t-0.2", "b\t-inf"))
         lm = load_arpa(path)
         assert score_word(lm, (), "c")[0] == -math.inf
-        assert lm.tables[1][(lm.word_id("b"),)][1] == -math.inf
+        assert lm.tables[1][(lm.vocab["b"],)][1] == -math.inf
 
     def test_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.arpa"
@@ -176,6 +176,16 @@ class TestSaveLoad:
         save_arpa(lm2, tmp_path / "copy2.arpa")
         assert (tmp_path / "copy.arpa").read_bytes() == (tmp_path / "copy2.arpa").read_bytes()
 
+    def test_negative_zero_backoff_round_trips(self, tmp_path):
+        path = tmp_path / "m.arpa"
+        path.write_text(
+            "\\data\\\nngram 1=1\nngram 2=1\n\n\\1-grams:\n-0.5\ta\t-0.0\n"
+            "\n\\2-grams:\n-0.1\ta a\n\n\\end\\\n"
+        )
+        save_arpa(load_arpa(path), tmp_path / "copy.arpa")
+        prob, backoff = load_arpa(tmp_path / "copy.arpa").tables[1][(0,)]
+        assert prob == -0.5 and backoff == 0.0 and math.copysign(1.0, backoff) == -1.0
+
 
 class TestLexicon:
     def test_shared_prefix(self):
@@ -194,10 +204,10 @@ class TestLexicon:
         trie = build_lexicon([], default_alphabet())
         assert trie.num_words == 0 and not trie.root.children
 
-    def test_shared_spelling_keeps_both_words(self):
+    def test_shared_spelling_keeps_both_words(self, tmp_path):
         ab = default_alphabet()
-        spell = [[ab.index["h"], ab.index["i"]]] * 2
-        trie = build_lexicon(["hi", "hy"], ab, spellings=spell)
+        (tmp_path / "lex.txt").write_text("hi\th i\nhy\th i\n")
+        trie = load_lexicon(tmp_path / "lex.txt", ab)
         node = trie.root.children[ab.index["h"]].children[ab.index["i"]]
         assert node.word_ids == [0, 1]
 
