@@ -164,13 +164,19 @@ def _config_from(cls, cfg: dict, keys):
 def _cmd_train_toy(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config must be a JSON object of keys, got {cfg!r}")
     for key in _TRAIN_REQUIRED:
         if key not in cfg:
             raise ValueError(f"config is missing required key {key!r}")
     task = _config_from(training.ToyTaskConfig, cfg, _TASK_KEYS)
     train_cfg = _config_from(training.TrainConfig, cfg, _TRAIN_KEYS)
+    if train_cfg.epochs < 1:
+        raise ValueError(f"config key 'epochs' must be at least 1, got {train_cfg.epochs}")
     alphabet, data = training.make_toy_dataset(task)
     if "layers" in cfg:
+        if not isinstance(cfg["layers"], list):
+            raise ValueError(f"config key 'layers' must be a list of rows, got {cfg['layers']!r}")
         for row in cfg["layers"]:
             if not isinstance(row, list) or list(map(type, row)) != [int, int, int, int, str]:
                 raise ValueError(f"config layers row {row!r} is not four integers and a name")

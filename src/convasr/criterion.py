@@ -16,10 +16,18 @@ Frame limits need no per-frame bookkeeping: a state that no path can
 reach by frame t holds a -inf forward score there, and one that cannot
 reach an accepting state in the frames left holds a -inf backward score.
 
-One recursion serves every pass.  The Forward score reduces with
-log-sum-exp over the predecessor links, Viterbi with max (its backtrace
-recomputes each argmax from the stored table), and the backward pass is
-the same forward pass over reversed time: successor links, reversed
+One log-domain recursion serves the Forward score and Viterbi.  The
+Forward score reduces with log-sum-exp over the predecessor links,
+Viterbi with max (its backtrace recomputes each argmax from the stored
+table).
+
+The posteriors run on probabilities instead: each frame's scores are
+shifted by their maximum, exponentiated and renormalized (Rabiner's
+scaled forward-backward), so a frame costs one matmul on the fully
+connected lattice and a few shifted vector products on a chain.  The
+backward pass is the forward pass over reversed time.  Where float64
+cannot carry the scaled values, at large score spreads, the posteriors
+fall back to the log-domain recursion: successor links, reversed
 emissions, and the accepting states as its start.
 
 Scores accumulate as emission f[t, label] plus transition
@@ -36,6 +44,7 @@ import numpy as np
 
 NEG_INF = -np.inf
 _FLOAT_MIN = np.finfo(np.float64).min
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float
 
 
 class CriterionError(ValueError):
@@ -337,38 +346,178 @@ class _FBResult:
     trans_marginals: np.ndarray | None  # (L, L)
 
 
+def _scaled_forward_backward(graph: Lattice, f, src, dst, score, start, links: bool):
+    """Forward score, state posteriors (T, S) and, when ``links``, the
+    posterior mass of every link (src[i] -> dst[i], log weight score[i])
+    summed over frames, computed on probabilities instead of logs.  None
+    when float64 cannot carry the result to full precision.
+
+    Every factor is shifted by its maximum, exp(f[t] - max f[t]),
+    exp(score - max score) and exp(start - max start), so it lies in
+    (0, 1].  The backward pass is the forward pass over reversed time and
+    reversed states along the reversed links, and each pass renormalizes
+    every frame by its own sum (Rabiner, Proc. IEEE 1989); the forward
+    sums give the score, and the two passes run as one recursion on the
+    stacked pair.  On a chain (every link stays or moves forward, by at
+    most D states) a frame step is D + 1 shifted vector products; on any
+    other lattice it is one matmul.
+
+    A factor below the smallest normal float would drop or blur its paths
+    in both passes alike, where no later test could see it, so such
+    inputs are refused up front.  Mass that underflows during the
+    recursion shows as disagreement between frames: each frame's two
+    tables yield the score once more, and each of those T estimates must
+    be a normal float and match the forward pass's own to 1e-12 * T,
+    relative.  Every per-frame sum must be a normal float too, and every
+    link mass finite.
+    """
+    T, S = graph.num_frames, graph.labels.size
+    lab, initial = graph.labels, graph.initial
+    top = f.max(axis=1)
+    score_max = score.max() if score.size else 0.0
+    start_max = start[initial].max()
+    shifted = f - top[:, None]
+    lowest = min(
+        shifted.min(),
+        (score - score_max).min(initial=0.0),
+        (start[initial] - start_max).min(),
+    )
+    if lowest < np.log(_TINY):
+        return None
+    label_w = np.exp(shifted, out=shifted)
+    # pass 0 runs forward; pass 1 backward over reversed time and states,
+    # where link p -> s becomes S-1-s -> S-1-p and the accepting states start
+    emits = np.empty((T, 2, S))
+    emits[:, 0] = label_w[:, lab]
+    emits[:, 1] = label_w[::-1, lab[::-1]]
+    link_w = np.exp(score - score_max)
+    back_src, back_dst = S - 1 - dst, S - 1 - src
+    shift = dst - src
+    chain = shift.min(initial=0) >= 0
+    D = int(shift.max(initial=0)) if chain else 0
+    table = np.zeros((T, 2, D + S))  # D zero columns pad the shifted reads
+    state = table[:, :, D:]
+    if chain:
+        weights = np.zeros((2, D + 1, S))
+        weights[0, D - shift, dst] = link_w
+        weights[1, D - shift, back_dst] = link_w
+        # reads[t][k, r, s] = table[t, k, r + s], pass k's state s - (D - r)
+        reads = list(np.lib.stride_tricks.sliding_window_view(table, S, axis=2))
+        work = np.empty((2, D + 1, S))
+    else:
+        dense = np.zeros((2, S, S))
+        dense[0, src, dst] = link_w
+        dense[1, back_src, back_dst] = link_w
+        reads = list(state[:, :, None, :])
+    rows, factors = list(state), list(emits)
+    scale = np.empty((T, 2))
+    scales = list(scale[:, :, None])
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        state[0, 0] = np.exp(start - start_max)
+        state[0, 1] = graph.accepting[::-1]
+        for t, row in enumerate(rows):  # row 0 already holds the start
+            if t and chain:
+                np.multiply(weights, reads[t - 1], out=work)
+                np.add.reduce(work, axis=1, out=row)
+            elif t:
+                np.matmul(reads[t - 1], dense, out=reads[t])
+            np.multiply(row, factors[t], out=row)
+            np.add.reduce(row, axis=1, out=scale[t])
+            np.divide(row, scales[t], out=row)
+
+        alpha = state[:, 0]
+        ahead = state[::-1, 1, ::-1]  # emission plus backward, per frame
+        gamma = alpha * ahead
+        gamma /= emits[:, 0]
+        # per[t]: the score from frame t's two tables, in units of the
+        # forward sums up to t and the backward sums from t on; per[T]:
+        # the forward pass's own closing sum
+        per = np.empty(T + 1)
+        np.add.reduce(gamma, axis=1, out=per[:T])
+        per[T] = alpha[-1, graph.accepting].sum()
+        # estimate t over estimate t + 1, where the forward sum c[T] is 1
+        ratio = per[:-1] * scale[::-1, 1] / (per[1:] * np.append(scale[1:, 0], 1.0))
+        drift = np.cumprod(ratio[::-1])
+        mass = None
+        if links:
+            # link p -> s into frame t: alpha[t-1, p] * w * ahead[t, s]
+            # over the forward sum c[t] and the estimate per[t], one divisor
+            # on each side so that neither side overflows
+            before = table[:-1, 0] / scale[1:, 0, None]
+            nxt = ahead[1:] / per[1:T, None]
+            if chain:
+                before = np.lib.stride_tricks.sliding_window_view(before, S, axis=1)
+                mass = np.einsum("trs,ts->rs", before, nxt)[D - shift, dst]
+            else:
+                mass = (before.T @ nxt)[src, dst]
+            mass *= link_w
+        if not (
+            scale.min() >= _TINY
+            and per.min() >= _TINY
+            and np.all(np.abs(drift - 1.0) <= 1e-12 * T)
+            and (mass is None or np.all(np.isfinite(mass)))
+        ):
+            return None
+        gamma /= per[:T, None]
+    log_z = float(
+        np.log(scale[:, 0]).sum()
+        + np.log(per[T])
+        + top.sum()
+        + (T - 1) * score_max
+        + start_max
+    )
+    return log_z, gamma, mass
+
+
+def _log_forward_backward(graph: Lattice, emit, edge, succ_edge, start, links: bool):
+    """The log-domain counterpart of ``_scaled_forward_backward``, exact
+    at every score scale; ``mass`` comes back (P, S), aligned with
+    ``graph.preds``."""
+    T, S = emit.shape
+    alpha = _forward(graph.preds, emit, edge, start, _lse)
+    log_z = logadd(alpha[-1, :S][graph.accepting])
+    if not np.isfinite(log_z):
+        raise CriterionError("no accepted path has finite score")
+    # emission plus backward score: the forward pass over reversed time
+    end = np.where(graph.accepting, 0.0, NEG_INF)
+    ahead = _forward(graph.succs, emit[::-1], succ_edge, end, _lse)[::-1]
+    gamma = np.exp(alpha[:, :S] + ahead[:, :S] - emit - log_z)
+    if not links:
+        return log_z, gamma, None
+    # a -1 padding gathers the -inf column, so its mass is exactly 0
+    mass = np.exp(alpha[:-1, graph.preds] + edge + ahead[1:, None, :S] - log_z).sum(axis=0)
+    return log_z, gamma, mass
+
+
 def forward_backward(graph: Lattice, emissions, transitions: TransitionTable | None) -> _FBResult:
     """Forward score plus label and transition posterior marginals (the
     exact gradient ingredients).  With ``transitions`` None, links and
-    starts score 0 and the transition marginals are None."""
+    starts score 0 and the transition marginals are None.
+
+    Runs on scaled probabilities, and in the log domain whenever those
+    cannot reach full precision (see ``_scaled_forward_backward``)."""
     f = _as_scores(emissions)
     num_labels = f.shape[1]
     tr = TransitionTable.zeros(num_labels) if transitions is None else transitions
     emit, edge, start = _state_scores(graph, f, tr)
-    T, S = emit.shape
-    lab, preds, succs = graph.labels, graph.preds, graph.succs
-
-    alpha = _forward(preds, emit, edge, start, _lse)
-    log_z = logadd(alpha[-1, :S][graph.accepting])
-    if not np.isfinite(log_z):
-        raise CriterionError("no accepted path has finite score")
-
-    # emission plus backward score: the forward pass over reversed time
-    end = np.where(graph.accepting, 0.0, NEG_INF)
-    succ_edge = tr.trans[lab, lab[succs]]  # (Q, S)
-    ahead = _forward(succs, emit[::-1], succ_edge, end, _lse)[::-1]
-
-    gamma = np.exp(alpha[:, :S] + ahead[:, :S] - emit - log_z)  # (T, S)
-    label_marg = np.zeros((T, num_labels))
-    np.add.at(label_marg.T, lab, gamma.T)
-    if transitions is None:
+    lab = graph.labels
+    row, dst = np.nonzero(graph.preds >= 0)
+    src = graph.preds[row, dst]
+    links = transitions is not None
+    fb = _scaled_forward_backward(graph, f, src, dst, edge[row, dst], start, links)
+    if fb is None:
+        succ_edge = tr.trans[lab, lab[graph.succs]]
+        log_z, gamma, mass = _log_forward_backward(graph, emit, edge, succ_edge, start, links)
+        mass = None if mass is None else mass[row, dst]
+    else:
+        log_z, gamma, mass = fb
+    label_marg = gamma @ (lab[:, None] == np.arange(num_labels)).astype(np.float64)
+    if mass is None:
         return _FBResult(log_z, label_marg, None)
-    # posterior mass of every link summed over frames, scattered once;
-    # a -1 padding gathers the -inf column, so its mass adds exactly 0
-    link = np.exp(alpha[:-1, preds] + edge + ahead[1:, None, :S] - log_z).sum(axis=0)
-    trans_marg = np.zeros((num_labels, num_labels))
-    np.add.at(trans_marg, (lab[preds], lab), link)
-    return _FBResult(log_z, label_marg, trans_marg)
+    pair = lab[src] * num_labels + lab[dst]
+    trans_marg = np.bincount(pair, mass, num_labels * num_labels)
+    return _FBResult(log_z, label_marg, trans_marg.reshape(num_labels, num_labels))
 
 
 def ctc_loss(emissions, labels, blank_id: int, strict: bool = False) -> CriterionResult:

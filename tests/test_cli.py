@@ -219,6 +219,8 @@ class TestTrainToyCommand:
             ({"epochs": "2"}, "'epochs'"),
             ({"letters": 5}, "'letters'"),
             ({"stop_ler": True}, "'stop_ler'"),
+            ({"layers": 5}, "'layers'"),
+            ({"epochs": 0}, "'epochs'"),
         ],
     )
     def test_mistyped_key_or_layer_row_named(self, tmp_path, capsys, extra, named):
@@ -229,6 +231,13 @@ class TestTrainToyCommand:
         (tmp_path / "cfg.json").write_text(json.dumps({**cfg, **extra}))
         code, _, err = run(capsys, "train-toy", "--config", tmp_path / "cfg.json")
         assert code == 1 and err.startswith("error:") and named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("top", [5, [], "cfg", None])
+    def test_top_level_not_an_object(self, tmp_path, capsys, top):
+        (tmp_path / "cfg.json").write_text(json.dumps(top))
+        code, _, err = run(capsys, "train-toy", "--config", tmp_path / "cfg.json")
+        assert code == 1 and err.startswith("error: config must be a JSON object")
         assert "Traceback" not in err
 
     def test_lr_zero_flat_curve(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from convasr import criterion
 from convasr.alphabet import collapse_path, default_alphabet, encode_transcription
 from convasr.criterion import (
     CriterionError,
@@ -450,6 +451,173 @@ class TestAsgLoss:
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):
             asg_loss(np.zeros((2, 4)), TransitionTable.zeros(4), [0, 1, 2])
+
+
+def _kernel_instance(rng, family: str, scale: float):
+    """One seeded (graph, emissions, transitions) of ``family`` with
+    emission scores drawn at ``scale`` and transition scores at half of
+    it, capped at 50."""
+    T, L = int(rng.integers(1, 40)), int(rng.integers(2, 8))
+    f = scale * rng.normal(size=(T, L))
+    tr = random_transitions(rng, L, scale=0.5 * min(scale, 100.0))
+    n = int(rng.integers(1, min(T, 12) + 1))
+    if family == "asg":
+        return build_asg_graph(random_label_sequence(rng, n, L), T), f, tr
+    if family == "long asg":  # slack enough for mass to underflow mid-utterance
+        T = int(rng.integers(20, 60))
+        f = scale * rng.normal(size=(T, L))
+        n = int(rng.integers(2, 12))
+        return build_asg_graph([int(x) for x in rng.integers(0, L, n)], T), f, tr
+    if family == "full":
+        return build_full_graph(L, T), f, tr
+    if family == "ctc":  # one label per frame leaves room for any separators
+        labels = random_label_sequence(rng, (n + 1) // 2, L - 1)
+        return build_ctc_graph(labels, T, blank_id=L - 1), log_softmax(f), None
+    optional = [bool(x) for x in rng.integers(0, 2, n)]  # optional silences
+    return build_linear_graph(random_label_sequence(rng, n, L), optional, T), f, tr
+
+
+KERNEL_FAMILIES = ["asg", "long asg", "full", "ctc", "optional silence"]
+KERNEL_SCALES = [1.0, 30.0, 100.0, 1e3]
+
+
+def _fallback_spy(monkeypatch) -> list:
+    """Counts the calls that reach the log-domain recursion."""
+    calls = []
+    log_domain = criterion._log_forward_backward
+
+    def spy(*args):
+        calls.append(args)
+        return log_domain(*args)
+
+    monkeypatch.setattr(criterion, "_log_forward_backward", spy)
+    return calls
+
+
+def _log_domain_reference(monkeypatch, graph, f, tr):
+    with monkeypatch.context() as m:
+        m.setattr(criterion, "_scaled_forward_backward", lambda *args: None)
+        return forward_backward(graph, f, tr)
+
+
+def _scale_only_log_z(graph, f, tr) -> tuple[float, float]:
+    """Rabiner's scaled Forward score vouched for by nothing but its own
+    per-frame sums: returns the score and the smallest sum."""
+    lab, S = graph.labels, len(graph.labels)
+    step = np.zeros((S, S))
+    for s in range(S):
+        for p in graph.preds[:, s][graph.preds[:, s] >= 0]:
+            step[p, s] = np.exp(tr.trans[lab[p], lab[s]] - tr.trans.max())
+    top = f.max(axis=1)
+    emit = np.exp(f[:, lab] - top[:, None])
+    start = np.where(graph.initial, np.exp(tr.start[lab] - tr.start.max()), 0.0)
+    alpha, sums = start * emit[0], []
+    for t in range(len(f)):
+        if t:
+            alpha = (alpha @ step) * emit[t]
+        sums.append(alpha.sum())
+        alpha = alpha / sums[-1]
+    log_z = (
+        np.log(sums).sum() + np.log(alpha[graph.accepting].sum())
+        + top.sum() + (len(f) - 1) * tr.trans.max() + tr.start.max()
+    )
+    return float(log_z), min(sums)
+
+
+class TestScaledKernel:
+    """``forward_backward`` runs on scaled probabilities and falls back to
+    the log-domain recursion wherever float64 cannot carry them.  The
+    log-domain recursion is the reference for both paths."""
+
+    def test_scaled_path_and_log_domain_fallback_match_the_log_domain(self, monkeypatch):
+        calls = _fallback_spy(monkeypatch)
+        fallbacks = {}
+        for family in KERNEL_FAMILIES:
+            for scale in KERNEL_SCALES:
+                rng = np.random.default_rng([KERNEL_FAMILIES.index(family), int(scale)])
+                for _ in range(16):
+                    graph, f, tr = _kernel_instance(rng, family, scale)
+                    before = len(calls)
+                    got = forward_backward(graph, f, tr)
+                    fell_back = len(calls) > before
+                    want = _log_domain_reference(monkeypatch, graph, f, tr)
+                    fallbacks.setdefault((family, scale), []).append(fell_back)
+                    pairs = [(got.log_z, want.log_z), (got.label_marginals, want.label_marginals)]
+                    if tr is not None:
+                        pairs.append((got.trans_marginals, want.trans_marginals))
+                    for a, b in pairs:
+                        if fell_back:  # the fallback is the reference itself
+                            assert np.array_equal(a, b)
+                        else:
+                            gate = 1e-9 if scale == 1.0 else 1e-10 * scale
+                            assert np.max(np.abs(np.subtract(a, b))) <= gate
+        assert sum(map(len, fallbacks.values())) >= 300
+        # unit and moderate scales never need the fallback; at scale 1e3 a
+        # frame's scores often spread past what exp() keeps normal
+        for family in KERNEL_FAMILIES:
+            assert not any(fallbacks[family, 1.0] + fallbacks[family, 30.0])
+            assert any(fallbacks[family, 1e3])
+        # long chains at scale 100 take both paths
+        assert 0 < sum(fallbacks["long asg", 100.0]) < len(fallbacks["long asg", 100.0])
+
+    def test_log_domain_fallback_catches_mass_that_underflowed_early(self, monkeypatch):
+        # every frame sum is a normal float, yet the scaled score is off by
+        # hundreds: a path whose mass underflowed mid-utterance would have
+        # dominated it.  The frames' forward and backward tables disagree.
+        rng = np.random.default_rng(2)
+        T, L = 54, 6
+        f = 100.0 * rng.normal(size=(T, L))
+        tr = random_transitions(rng, L, scale=1.0)
+        graph = build_asg_graph([int(x) for x in rng.integers(0, L, 7)], T)
+        # every factor exp(f[t] - max f[t]) is a normal float
+        assert np.ptp(f, axis=1).max() < -np.log(np.finfo(np.float64).tiny)
+        exact, _ = forward_score(graph, f, tr)
+        scale_only, smallest_sum = _scale_only_log_z(graph, f, tr)
+        assert smallest_sum >= np.finfo(np.float64).tiny
+        assert abs(scale_only - exact) > 100.0
+        calls = _fallback_spy(monkeypatch)
+        got = forward_backward(graph, f, tr)
+        assert len(calls) == 1
+        assert abs(got.log_z - exact) < 1e-8
+
+    def test_log_domain_fallback_takes_factors_below_the_normal_range(self, monkeypatch):
+        # exp(-740) is subnormal, good to about 1%, and both passes round it
+        # alike, so they agree while the best path, b b b (score -740),
+        # carries that error; b a b pays two -700 links instead.  Such a
+        # frame must be refused outright.
+        f = np.array([[-600.0, 0.0], [0.0, -740.0], [-600.0, 0.0]])
+        tr = TransitionTable(np.array([[-700.0, -700.0], [-700.0, 0.0]]), np.zeros(2))
+        assert abs(forward_score(build_full_graph(2, 3), f, tr)[0] + 740.0) < 1e-9
+        calls = _fallback_spy(monkeypatch)
+        for graph in (build_full_graph(2, 3), build_linear_graph([1, 0, 1], [True] * 3, 3)):
+            exact, _ = forward_score(graph, f, tr)
+            assert abs(forward_backward(graph, f, tr).log_z - exact) < 1e-9
+        assert len(calls) == 2
+
+    def test_link_posteriors_stay_finite_where_a_frame_estimate_is_tiny(self, monkeypatch):
+        # dividing the next frame's backward table by the product of its
+        # score estimate and forward sum overflowed here (inf marginals)
+        rng = np.random.default_rng(352)
+        T, L = 60, 4
+        f = 100.0 * rng.normal(size=(T, L))
+        tr = random_transitions(rng, L, scale=50.0)
+        graph = build_asg_graph([int(x) for x in rng.integers(0, L, 3)], T)
+        got = forward_backward(graph, f, tr)
+        want = _log_domain_reference(monkeypatch, graph, f, tr)
+        assert abs(got.log_z - want.log_z) <= 1e-8
+        np.testing.assert_allclose(got.label_marginals, want.label_marginals, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(got.trans_marginals, want.trans_marginals, rtol=0, atol=1e-8)
+
+    def test_scaled_path_serves_the_benchmark_shapes(self, monkeypatch):
+        # the bench instances: 700 frames, 200 labels, unit-scale scores
+        calls = _fallback_spy(monkeypatch)
+        rng = np.random.default_rng(20)
+        f = rng.standard_normal((700, 28))
+        tr = random_transitions(rng, 28, scale=0.1)
+        labels = random_label_sequence(rng, 200, 27)
+        asg_loss(f, tr, labels)
+        ctc_loss(log_softmax(f), labels, blank_id=27)
+        assert calls == []
 
 
 class TestEmissionTable:

@@ -12,10 +12,21 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from convasr.alphabet import decode_labels, default_alphabet, encode_transcription, make_alphabet
-from convasr.criterion import TransitionTable, asg_loss, ctc_loss, log_softmax
+from convasr.criterion import (
+    TransitionTable,
+    asg_loss,
+    build_asg_graph,
+    build_ctc_graph,
+    build_full_graph,
+    ctc_loss,
+    forward_backward,
+    forward_score,
+    log_softmax,
+)
 from convasr.decoder import DecodeError, DecoderConfig, decode
 from convasr.lm import LN10, NGramLM, build_lexicon, load_arpa, save_arpa, sentence_logprob, smear
 
+import oracles
 from conftest import make_bigram_arpa
 
 _PROPS = settings(
@@ -74,6 +85,49 @@ class TestCriteria:
     def test_ctc_loss_non_negative_on_normalized_rows(self, instance):
         f, labels, blank = instance
         assert ctc_loss(f, labels, blank).loss >= 0.0
+
+
+@st.composite
+def _tiny_instance(draw):
+    """Emissions at unit scale or 1e3 (where the log-domain fallback
+    takes over), small enough to enumerate every path."""
+    scale = draw(st.sampled_from([1.0, 1e3]))
+    t = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 4))
+    unit = st.floats(-3.0, 3.0)
+    f = scale * draw(arrays(np.float64, (t, n), elements=unit))
+    tr = TransitionTable(
+        draw(arrays(np.float64, (n, n), elements=unit)),
+        draw(arrays(np.float64, n, elements=unit)),
+    )
+    return scale, f, tr, draw(_labels(n, t))
+
+
+class TestKernelsAgainstOracles:
+    @_PROPS
+    @given(_tiny_instance())
+    def test_forward_backward_score_is_the_forward_score(self, instance):
+        scale, f, tr, labels = instance
+        graphs = [build_full_graph(f.shape[1], f.shape[0]), build_asg_graph(labels, f.shape[0])]
+        for graph in graphs:
+            want, _ = forward_score(graph, f, tr, "logadd")
+            assert abs(forward_backward(graph, f, tr).log_z - want) <= 1e-10 * scale
+
+    @_PROPS
+    @given(_tiny_instance())
+    def test_losses_match_path_enumeration(self, instance):
+        scale, f, tr, labels = instance
+        want = oracles.asg_loss_bruteforce(f, tr.trans, tr.start, labels)
+        assert abs(asg_loss(f, tr, labels).loss - want) <= 1e-10 * scale
+        # the last label is the blank; letters avoid it and, when they
+        # repeat, need a separator frame between them
+        blank = f.shape[1] - 1
+        letters = [x % blank for x in labels]
+        need = len(letters) + sum(a == b for a, b in zip(letters, letters[1:]))
+        if need <= f.shape[0]:
+            g = log_softmax(f)
+            want = oracles.ctc_loss_bruteforce(g, letters, blank)
+            assert abs(ctc_loss(g, letters, blank).loss - want) <= 1e-10 * scale
 
 
 class TestTranscriptionCoding:
