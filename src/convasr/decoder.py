@@ -22,6 +22,30 @@ they are the decodable outputs and their count is bounded).  In
 beam an exact maximizer; "logadd" mode combines the acoustic mass of
 merged hypotheses, a lower bound on the all-paths objective unless the
 beam holds every hypothesis.
+
+In "max" mode a candidate that prune would drop is not built.  Its
+total is checked against lim = max(best - beam_threshold, floor): best
+is the best total offered so far in the frame, and floor the
+``beam_size``-th largest of lower bounds on the totals of distinct
+in-word keys (the first total each key got, and the best offer of the
+word starts to each key).  Merging keeps the maximum, so a key's total
+only grows: neither part of lim exceeds its value in prune, and a
+candidate strictly below it could never be kept.  The bound is exact;
+the n-best lists are those of building every candidate.  Word-boundary
+candidates face the threshold part only, as in prune.  In "logadd" mode
+even a candidate far below lim adds its mass to its key, which may be
+kept, so lim is -inf there and every candidate is built.
+
+Prune breaks exact ties at the cap by a key's first-arrival position in
+the merge table.  A rejected candidate that a later candidate of the
+frame may beat on its key therefore leaves a placeholder (None) there,
+so that the key keeps the position it has when every candidate is built.
+
+Word starts, every word-boundary hypothesis times every first letter of
+the trie, are scored as one array per frame in the addition order of the
+scalar path.  Their best and their per-key best offers bound the frame
+before the first admit, and only the starts that may be kept, or that
+hold a placeholder or complete a one-letter word, are visited.
 """
 
 from __future__ import annotations
@@ -158,12 +182,15 @@ def decode(
     # the search starts from one root hypothesis on a virtual label whose
     # transition row is the start score, so frame 0 expands like the rest
     begin = f.shape[1]
-    trans = np.vstack([transitions.trans, transitions.start]).tolist()
+    trans_table = np.vstack([transitions.trans, transitions.start])
+    trans = trans_table.tolist()
     frontier = [Hypothesis(root, lm.start_state(), begin, 0.0, 0.0, (), 0.0)]
 
     # alpha * ln(10), so that the LM term is lm_weight * log10 mass; a
     # zero weight counts 0, also for an impossible (-inf) word sequence
     lm_weight = cfg.alpha * LN10
+    beam_size, threshold = cfg.beam_size, cfg.beam_threshold
+    bounded = cfg.mode == "max"
 
     def score(acoustic: float, lm10: float, node, words: tuple) -> float:
         # off the root the partial word adds its smeared LM estimate
@@ -171,56 +198,179 @@ def decode(
         lm_term = lm_weight * (lm10 + smear10) if lm_weight else 0.0
         return acoustic + lm_term + cfg.beta * len(words)
 
-    # admit and extend work on the current frame's scores and merge table
-    def admit(node, lm_state: tuple, label: int, acoustic: float, lm10: float, words: tuple):
+    # each node's children in grapheme order, the order candidates arrive
+    # in, sorted once per decode
+    sorted_children: dict = {}
+
+    def children(node) -> list:
+        kids = sorted_children.get(id(node))
+        if kids is None:
+            kids = sorted_children[id(node)] = sorted(node.children.items())
+        return kids
+
+    # word starts: every root hypothesis times every child of the root
+    starts = children(root)
+    start_gids = np.array([gid for gid, _ in starts], dtype=np.intp)
+    start_smeared = np.array([child.smeared for _, child in starts])
+    start_trans = trans_table[:, start_gids]
+    start_emissions = f[:, start_gids]
+    start_col = {gid: col for col, (gid, _) in enumerate(starts)}
+    start_ends_word = np.array([bool(child.word_ids) for _, child in starts])
+    first_letters = {id(child) for _, child in starts}
+
+    def word_starts(t: int):
+        """Score the word starts of frame ``t`` as one (rows, starts) array,
+        a row per root hypothesis in frontier order, in the addition order
+        of ``extend`` and ``score``.  Returns each row's acoustic scores and
+        totals, the columns each row must offer, in grapheme order, and the
+        bound they give before the first admit: the best start, the top
+        ``beam_size`` per-key best starts and lim (logadd mode: no bound)."""
+        rows = [(at, hyp) for at, hyp in enumerate(frontier) if hyp.node is root]
+        if not rows:
+            return [], [], [], -math.inf, [], -math.inf
+        hyps = [hyp for _, hyp in rows]
+        last = np.array([hyp.last_label for hyp in hyps])
+        acoustic = (np.array([hyp.acoustic for hyp in hyps])[:, None] + start_trans[last]) + start_emissions[t]
+        lm_term = lm_weight * (np.array([hyp.lm10 for hyp in hyps])[:, None] + start_smeared) if lm_weight else 0.0
+        total = (acoustic + lm_term) + cfg.beta * np.array([len(hyp.words) for hyp in hyps])[:, None]
+        # a row starts every word but the one that repeats its last letter
+        # (identical letters need silence or another word in between), and
+        # none after a word when silence is mandatory
+        allowed = start_gids != last[:, None]
+        if cfg.silence == "mandatory":
+            allowed[(last != sil) & (last != begin)] = False
+        best, top, lim, visit = -math.inf, [], -math.inf, allowed
+        if bounded:
+            offered = np.where(allowed, total, -np.inf)
+            best = float(offered.max())
+            # rows sharing an LM state offer to the same keys: the best
+            # offer per key bounds that key's total
+            states: dict = {}
+            groups = [states.setdefault(hyp.lm_state, len(states)) for hyp in hyps]
+            per_key = np.full((len(states), len(starts)), -np.inf)
+            np.maximum.at(per_key, groups, offered)
+            per_key = per_key[per_key > -np.inf]
+            if per_key.size > beam_size:
+                per_key = np.partition(per_key, -beam_size)[-beam_size:]
+            top = sorted(per_key.tolist())
+            lim = best - threshold
+            if len(top) == beam_size:
+                lim = max(lim, top[0])
+            # A start below lim is dropped, and holds its key's place in the
+            # merge table only if a later candidate may still win that key:
+            # a later row of the same LM state offering at least lim, or the
+            # stay of the frontier's hypothesis on that key.
+            above = offered >= lim
+            later = np.zeros_like(above)
+            group_rows: list = [[] for _ in states]
+            for r in range(len(rows) - 1, -1, -1):
+                same = group_rows[groups[r]]
+                if same:
+                    later[r] = above[same[-1]] | later[same[-1]]
+                same.append(r)
+            for at, hyp in enumerate(frontier):
+                g = states.get(hyp.lm_state) if id(hyp.node) in first_letters else None
+                if g is not None:
+                    col = start_col[hyp.last_label]
+                    for r in group_rows[g]:
+                        if rows[r][0] < at:
+                            later[r, col] = True
+            # word-ending starts also commit, whatever their own total
+            visit = allowed & (above | later | start_ends_word)
+        visits: list = [[] for _ in rows]
+        r_idx, c_idx = np.nonzero(visit)
+        for r, col in zip(r_idx.tolist(), c_idx.tolist()):
+            visits[r].append(col)
+        return acoustic.tolist(), total.tolist(), visits, best, top, lim
+
+    # admit works on the current frame's merge table and bound
+    def admit(node, lm_state: tuple, label: int, acoustic: float, lm10: float, words: tuple, total: float):
         # merge on (trie node, LM state, last label); the table keeps
         # first-arrival order, which breaks ties in prune
+        nonlocal best, cut, lim
         key = (id(node), lm_state, label)
-        total = score(acoustic, lm10, node, words)
+        if total < (cut if node is root else lim):
+            # prune would drop it; a later candidate may still win this
+            # key, and it must arrive where this one did
+            merged.setdefault(key, None)
+            return
         old = merged.get(key)
-        if old is None or total > old.total:
+        if old is None:
+            merged[key] = Hypothesis(node, lm_state, label, acoustic, lm10, words, total)
+            if bounded and node is not root and key[0] not in first_letters:
+                # a lower bound on this key's final total: count it once
+                if len(floor) < beam_size:
+                    heapq.heappush(floor, total)
+                elif total > floor[0]:
+                    heapq.heapreplace(floor, total)
+                if len(floor) == beam_size and floor[0] > lim:
+                    lim = floor[0]
+        elif total > old.total:
             # the winner keeps its history; logadd mode adds the loser's mass
-            if old is not None and cfg.mode == "logadd":
+            if cfg.mode == "logadd":
                 acoustic = float(np.logaddexp(acoustic, old.acoustic))
                 total = score(acoustic, lm10, node, words)
             merged[key] = Hypothesis(node, lm_state, label, acoustic, lm10, words, total)
         elif cfg.mode == "logadd":
             old.acoustic = float(np.logaddexp(old.acoustic, acoustic))
             old.total = score(old.acoustic, old.lm10, node, old.words)
+        if bounded and total > best:
+            best = total
+            cut = best - threshold
+            lim = max(lim, cut)
 
     def extend(hyp: Hypothesis, node, label: int) -> float:
-        """Admit ``hyp`` moved onto (node, label); returns its own acoustic
+        """Offer ``hyp`` moved onto (node, label); returns its own acoustic
         score, before any merge."""
         acoustic = hyp.acoustic + trans[hyp.last_label][label] + frame[label]
-        admit(node, hyp.lm_state, label, acoustic, hyp.lm10, hyp.words)
+        admit(node, hyp.lm_state, label, acoustic, hyp.lm10, hyp.words, score(acoustic, hyp.lm10, node, hyp.words))
         return acoustic
 
-    for frame in f.tolist():
+    def commit(hyp: Hypothesis, child, gid: int, acoustic: float):
+        # a word ends at ``child``: a committed copy goes back to the root
+        for wid in child.word_ids:
+            s, state = score_word(lm, hyp.lm_state, lexicon.words[wid])
+            lm10, words = hyp.lm10 + s, hyp.words + (wid,)
+            admit(root, state, gid, acoustic, lm10, words, score(acoustic, lm10, root, words))
+
+    for t, frame in enumerate(f.tolist()):
         merged: dict = {}
+        # best: the best total offered so far; floor: a min-heap of lower
+        # bounds on the totals of distinct in-word keys, its top
+        # ``beam_size``.  A candidate below cut (word boundaries) or lim
+        # (in-word) would be pruned.
+        start_acoustic, start_total, visits, best, floor, lim = word_starts(t)
+        cut = best - threshold
+        row = 0
         for hyp in frontier:
             last = hyp.last_label
+            node = hyp.node
             # stay on the current grapheme (the virtual start label has none)
             if last != begin:
-                extend(hyp, hyp.node, last)
-            at_root = hyp.node is root
-            # silence between words
-            if at_root and cfg.silence != "none" and last != sil:
-                extend(hyp, root, sil)
-            # advance deeper into the trie (or into a new word from the
-            # root, which after a word needs silence first when mandatory)
-            if at_root and cfg.silence == "mandatory" and last not in (sil, begin):
+                extend(hyp, node, last)
+            if node is not root:
+                # advance deeper into the word
+                for gid, child in children(node):
+                    if gid == last:
+                        # indistinguishable from staying (spellings from
+                        # ``lm`` never repeat a label adjacently)
+                        continue
+                    acoustic = extend(hyp, child, gid)
+                    if child.word_ids:
+                        commit(hyp, child, gid, acoustic)
                 continue
-            for gid, child in sorted(hyp.node.children.items()):
-                if gid == last:
-                    # indistinguishable from staying: identical letters
-                    # need silence (or another word) in between
-                    continue
-                acoustic = extend(hyp, child, gid)
-                # a word ends here: a committed copy goes back to the root
-                for wid in child.word_ids:
-                    s, state = score_word(lm, hyp.lm_state, lexicon.words[wid])
-                    admit(root, state, gid, acoustic, hyp.lm10 + s, hyp.words + (wid,))
-        frontier = prune(list(merged.values()), cfg, root)
+            # silence between words
+            if cfg.silence != "none" and last != sil:
+                extend(hyp, root, sil)
+            # start a new word: admit the visited starts in grapheme order
+            acoustics, totals = start_acoustic[row], start_total[row]
+            for col in visits[row]:
+                gid, child = starts[col]
+                admit(child, hyp.lm_state, gid, acoustics[col], hyp.lm10, hyp.words, totals[col])
+                if child.word_ids:
+                    commit(hyp, child, gid, acoustics[col])
+            row += 1
+        frontier = prune([hyp for hyp in merged.values() if hyp is not None], cfg, root)
 
     # the words of a complete hypothesis fix its LM state and score, so
     # hypotheses sharing words differ only in acoustic score

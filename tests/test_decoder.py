@@ -23,6 +23,7 @@ from conftest import make_bigram_arpa, random_transitions
 
 LETTERS = "abcd"
 GOLDEN_NBEST = pathlib.Path(__file__).parent / "golden" / "decode_nbest.json"
+GOLDEN_TIES = pathlib.Path(__file__).parent / "golden" / "decode_ties.json"
 
 
 @pytest.fixture
@@ -506,6 +507,133 @@ class TestNarrowBeamGolden:
             assert [r[0] for r in g["nbest"]] == [r[0] for r in w["nbest"]], w
             scores = np.array([r[1:] for r in g["nbest"]])
             np.testing.assert_allclose(scores, np.array([r[1:] for r in w["nbest"]]), rtol=0, atol=1e-9)
+
+
+def hex_nbest(f, tr, lm, lexicon, cfg) -> dict:
+    """A decode's n-best (nbest 5) with scores as float hex, or its
+    ``DecodeError`` message."""
+    try:
+        results = decode(f, tr, lm, lexicon, cfg, nbest=5)
+    except DecodeError as exc:
+        return {"error": str(exc)}
+    return {"nbest": [[r.words, r.score.hex(), r.acoustic.hex(), r.lm.hex()] for r in results]}
+
+
+def lexicon_with_a_letter(rng, low: int, high: int) -> list:
+    """``low`` to ``high - 1`` words of 1-3 letters over "abcd", one of
+    them a single letter."""
+    words = {LETTERS[int(rng.integers(0, 4))]}
+    size = int(rng.integers(low, high))
+    while len(words) < size:
+        length, word = int(rng.integers(1, 4)), [int(rng.integers(0, 4))]
+        while len(word) < length:
+            c = int(rng.integers(0, 4))
+            if c != word[-1]:
+                word.append(c)
+        words.add("".join(LETTERS[c] for c in word))
+    return sorted(words)
+
+
+def whole_number_case(tmp_path, seed: int):
+    """A seeded max-mode decode at beam 1 or 2 in which emissions and
+    transitions are whole numbers in [-1, 1] and alpha is 0, so that
+    equal totals are common."""
+    alphabet = make_alphabet(LETTERS)
+    L = len(alphabet)
+    rng = np.random.default_rng(seed)
+    lm, lexicon = make_setup(tmp_path, lexicon_with_a_letter(rng, 3, 7), rng, alphabet)
+    f = rng.integers(-1, 2, size=(int(rng.integers(4, 12)), L)).astype(float)
+    tr = TransitionTable(rng.integers(-1, 2, size=(L, L)), rng.integers(-1, 2, size=L))
+    cfg = DecoderConfig(
+        alpha=0.0,
+        beta=float(rng.choice([0.0, -0.5, 0.5, -1.0])),
+        beam_size=int(rng.integers(1, 3)),
+        beam_threshold=float(rng.choice([math.inf, 1.0, 2.0])),
+        mode="max",
+        silence=str(rng.choice(["none", "optional", "mandatory"])),
+    )
+    return f, tr, lm, lexicon, cfg
+
+
+def word_end_commit_case(tmp_path):
+    """Two frames over the lexicon ["a", "bc"] at beam 1: on frame 0 the
+    start "b" outscores the start "a", so the in-word candidate on "a"
+    cannot be kept, but the word "a" it completes goes back to the root,
+    which the cap does not limit."""
+    alphabet = make_alphabet(LETTERS)
+    lm, lexicon = make_setup(tmp_path, ["a", "bc"], np.random.default_rng(31), alphabet)
+    f = np.zeros((2, len(alphabet)))
+    f[0, alphabet.index["a"]], f[0, alphabet.index["b"]], f[1, alphabet.index["c"]] = 1.0, 2.0, 2.0
+    cfg = DecoderConfig(alpha=0.0, beta=0.0, beam_size=1, mode="max", silence="none")
+    return f, TransitionTable.zeros(len(alphabet)), lm, lexicon, cfg
+
+
+def tie_sweep_nbest(tmp_path) -> list:
+    """n-best lists (``hex_nbest``) of small decodes built to reach
+    prune's exact ties: a sweep of 1440, then ``whole_number_case`` for
+    seeds 0-399, then ``word_end_commit_case``.  The sweep is 40 lexicons
+    of 3-5 words over "abcd", each with a one-letter word, x silence
+    none/optional/mandatory x max/logadd x beam 1/2/3 x threshold inf/3;
+    odd seeds use whole-number emissions, zero transitions and alpha 0.
+    ``tests/golden/decode_ties.json`` holds this list, one case a line;
+    re-record it only when the search changes on purpose."""
+    alphabet = make_alphabet(LETTERS)
+    L = len(alphabet)
+    cases = []
+    for seed in range(40):
+        rng = np.random.default_rng(700 + seed)
+        words = lexicon_with_a_letter(rng, 3, 6)
+        lm, lexicon = make_setup(tmp_path, words, rng, alphabet)
+        f = rng.normal(size=(int(rng.integers(3, 9)), L))
+        tr = random_transitions(rng, L)
+        alpha = 0.8
+        if seed % 2:
+            f, tr, alpha = np.round(f), TransitionTable.zeros(L), 0.0
+        for silence in ("none", "optional", "mandatory"):
+            for mode in ("max", "logadd"):
+                for beam in (1, 2, 3):
+                    for threshold in (math.inf, 3.0):
+                        cfg = DecoderConfig(
+                            alpha=alpha,
+                            beta=-0.5,
+                            beam_size=beam,
+                            beam_threshold=threshold,
+                            mode=mode,
+                            silence=silence,
+                        )
+                        case = {
+                            "seed": seed,
+                            "silence": silence,
+                            "mode": mode,
+                            "beam": beam,
+                            "threshold": repr(threshold),
+                        }
+                        case.update(hex_nbest(f, tr, lm, lexicon, cfg))
+                        cases.append(case)
+    for seed in range(400):
+        cases.append({"case": "whole_number", "seed": seed, **hex_nbest(*whole_number_case(tmp_path, seed))})
+    cases.append({"case": "word_end_commit", **hex_nbest(*word_end_commit_case(tmp_path))})
+    return cases
+
+
+def recorded_ties() -> list:
+    return [json.loads(line) for line in GOLDEN_TIES.read_text().splitlines()]
+
+
+class TestTieGolden:
+    def test_matches_recorded_nbest_bit_for_bit(self, tmp_path):
+        # exact ties at the beam cap resolve by first-arrival position in
+        # the merge table, so skipped candidates must keep that position
+        want = recorded_ties()
+        got = tie_sweep_nbest(tmp_path)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == w
+
+    def test_word_end_commit_of_a_dropped_start(self, tmp_path):
+        got = hex_nbest(*word_end_commit_case(tmp_path))
+        assert [r[0] for r in got["nbest"]] == [["bc"], ["a"]]
+        assert {"case": "word_end_commit", **got} == recorded_ties()[-1]
 
 
 class TestConfigValidation:
