@@ -166,3 +166,114 @@ def sort_based_prune(hypotheses, scores, beam_size, beam_threshold):
 
 def relative_close(analytic, numeric, rtol=1e-5, atol=1e-7):
     return abs(analytic - numeric) <= atol + rtol * max(abs(analytic), abs(numeric))
+
+
+class _Hypothesis:
+    """One search hypothesis of ``reference_decode``."""
+
+    __slots__ = ("node", "lm_state", "last_label", "acoustic", "lm10", "words", "total")
+
+    def __init__(self, node, lm_state, last_label, acoustic, lm10, words, total):
+        self.node, self.lm_state, self.last_label = node, lm_state, last_label
+        self.acoustic, self.lm10, self.words, self.total = acoustic, lm10, words, total
+
+
+def _reference_prune(frontier, cfg, root):
+    """Threshold, then a stable top-``beam_size`` cap over hypotheses off
+    ``root``; ties keep input order."""
+    if not frontier:
+        return []
+    cut = max(h.total for h in frontier) - cfg.beam_threshold
+    kept = [h for h in frontier if h.total >= cut]
+    capped = sorted((-h.total, i) for i, h in enumerate(kept) if h.node is not root)
+    if len(capped) > cfg.beam_size:
+        top = {i for _, i in capped[: cfg.beam_size]}
+        kept = [h for i, h in enumerate(kept) if h.node is root or i in top]
+    return kept
+
+
+def reference_decode(emissions, transitions, lm, lexicon, cfg, nbest=10):
+    """The beam search that builds every candidate, one hypothesis object
+    at a time: each frame, every hypothesis offers its stay, its silence
+    and its advances (with the word commits they complete) to one table
+    keyed on (trie node, LM state, last label), in that order, and the
+    table is pruned.  ``convasr.decoder.decode`` must return the same
+    n-best lists bit for bit, or raise the same ``DecodeError``."""
+    from convasr.criterion import logadd
+    from convasr.decoder import DecodeError, DecodeResult, _checked_scores
+    from convasr.lm import EOS, LN10, score_word
+
+    if nbest < 1:
+        raise ValueError("nbest must be >= 1")
+    f = _checked_scores(emissions, transitions, lexicon)
+    sil = lexicon.alphabet.silence_id
+    root = lexicon.root
+    begin = f.shape[1]  # virtual start label: its transition row is the start score
+    trans = np.vstack([transitions.trans, transitions.start]).tolist()
+    frontier = [_Hypothesis(root, lm.start_state(), begin, 0.0, 0.0, (), 0.0)]
+    lm_weight = cfg.alpha * LN10
+
+    def score(acoustic, lm10, node, words):
+        smear10 = 0.0 if node is root else node.smeared
+        lm_term = lm_weight * (lm10 + smear10) if lm_weight else 0.0
+        return acoustic + lm_term + cfg.beta * len(words)
+
+    def admit(node, lm_state, label, acoustic, lm10, words):
+        key = (id(node), lm_state, label)
+        total = score(acoustic, lm10, node, words)
+        old = merged.get(key)
+        if old is None or total > old.total:
+            # the winner keeps its history; logadd mode adds the loser's mass
+            if old is not None and cfg.mode == "logadd":
+                acoustic = float(np.logaddexp(acoustic, old.acoustic))
+                total = score(acoustic, lm10, node, words)
+            merged[key] = _Hypothesis(node, lm_state, label, acoustic, lm10, words, total)
+        elif cfg.mode == "logadd":
+            old.acoustic = float(np.logaddexp(old.acoustic, acoustic))
+            old.total = score(old.acoustic, old.lm10, node, old.words)
+
+    def extend(hyp, node, label):
+        acoustic = hyp.acoustic + trans[hyp.last_label][label] + frame[label]
+        admit(node, hyp.lm_state, label, acoustic, hyp.lm10, hyp.words)
+        return acoustic
+
+    for frame in f.tolist():
+        merged = {}
+        for hyp in frontier:
+            last = hyp.last_label
+            if last != begin:
+                extend(hyp, hyp.node, last)
+            at_root = hyp.node is root
+            if at_root and cfg.silence != "none" and last != sil:
+                extend(hyp, root, sil)
+            if at_root and cfg.silence == "mandatory" and last not in (sil, begin):
+                continue
+            for gid, child in sorted(hyp.node.children.items()):
+                if gid == last:
+                    continue
+                acoustic = extend(hyp, child, gid)
+                for wid in child.word_ids:
+                    s, state = score_word(lm, hyp.lm_state, lexicon.words[wid])
+                    admit(root, state, gid, acoustic, hyp.lm10 + s, hyp.words + (wid,))
+        frontier = _reference_prune(list(merged.values()), cfg, root)
+
+    complete = {}
+    for hyp in frontier:
+        if hyp.node is root:
+            complete.setdefault(hyp.words, []).append(hyp)
+    if not complete:
+        raise DecodeError(
+            "no complete hypothesis survived decoding "
+            "(beam too narrow, threshold too tight, or utterance too short)"
+        )
+    results = []
+    for words, hyps in complete.items():
+        scores = [h.acoustic for h in hyps]
+        acoustic = max(scores) if cfg.mode == "max" else logadd(scores)
+        lm10 = hyps[0].lm10
+        if EOS in lm.vocab:
+            lm10 += score_word(lm, hyps[0].lm_state, EOS)[0]
+        total = score(acoustic, lm10, root, words)
+        results.append(DecodeResult([lexicon.words[w] for w in words], total, acoustic, LN10 * lm10))
+    results.sort(key=lambda r: -r.score)
+    return results[:nbest]

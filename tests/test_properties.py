@@ -24,10 +24,19 @@ from convasr.criterion import (
     log_softmax,
 )
 from convasr.decoder import DecodeError, DecoderConfig, decode
-from convasr.lm import LN10, NGramLM, build_lexicon, load_arpa, save_arpa, sentence_logprob, smear
+from convasr.lm import (
+    LN10,
+    NGramLM,
+    build_lexicon,
+    load_arpa,
+    load_lexicon,
+    save_arpa,
+    sentence_logprob,
+    smear,
+)
 
 import oracles
-from conftest import make_bigram_arpa
+from conftest import make_bigram_arpa, random_transitions
 
 _PROPS = settings(
     max_examples=100,
@@ -211,3 +220,62 @@ class TestDecoder:
             want = r.acoustic + cfg.alpha * r.lm + cfg.beta * r.num_words
             assert math.isclose(r.score, want, rel_tol=1e-12, abs_tol=1e-9)
             assert math.isclose(r.lm, LN10 * sentence_logprob(lm, r.words), rel_tol=1e-12)
+
+
+@st.composite
+def _reference_instance(draw):
+    """A small decode over "abcd": a lexicon of 2-5 words of 1-3 letters
+    with a one-letter word and maybe a homophone (a second word on the
+    same trie node), Gaussian or whole-number scores, and a beam of 1-3
+    with a threshold of inf, 1 or 3."""
+    alphabet = make_alphabet(_LETTERS)
+    L = len(alphabet)
+    letter = draw(st.sampled_from(_LETTERS))
+    spelled = st.text(alphabet=_LETTERS, min_size=1, max_size=3)
+    words = sorted(set(draw(st.lists(spelled, min_size=1, max_size=4))) | {letter})
+    homophone = draw(st.sampled_from([None] + words))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        f, tr, alpha = rng.normal(size=(t, L)), random_transitions(rng, L), draw(st.floats(0.0, 2.0))
+    else:
+        # whole numbers and no LM weight: equal totals at the beam cap
+        f = rng.integers(-1, 2, size=(t, L)).astype(float)
+        tr = TransitionTable(rng.integers(-1, 2, size=(L, L)), rng.integers(-1, 2, size=L))
+        alpha = 0.0
+    cfg = DecoderConfig(
+        alpha=alpha,
+        beta=draw(st.sampled_from([0.0, -0.5, 0.5, -1.0])),
+        beam_size=draw(st.integers(1, 3)),
+        beam_threshold=draw(st.sampled_from([math.inf, 1.0, 3.0])),
+        mode=draw(st.sampled_from(["max", "logadd"])),
+        silence=draw(st.sampled_from(["none", "optional", "mandatory"])),
+    )
+    return alphabet, f, tr, cfg, words, homophone, rng
+
+
+def _hex_nbest(search, *args):
+    try:
+        results = search(*args, nbest=5)
+    except DecodeError as exc:
+        return str(exc)
+    return [(r.words, r.score.hex(), r.acoustic.hex(), r.lm.hex()) for r in results]
+
+
+class TestDecoderAgainstReference:
+    @settings(_PROPS, max_examples=400)
+    @given(_reference_instance())
+    def test_nbest_bit_identical_to_reference_decoder(self, tmp_path, instance):
+        alphabet, f, tr, cfg, words, homophone, rng = instance
+        lexicon = build_lexicon(words, alphabet)
+        if homophone is not None:
+            # the homophone shares its spelling: two word ends on one node
+            path = tmp_path / "lexicon.txt"
+            spelled = {w: " ".join(alphabet.symbols[g] for g in s) for w, s in zip(words, lexicon.spellings)}
+            spelled[homophone.upper()] = spelled[homophone]
+            path.write_text("".join(f"{w}\t{s}\n" for w, s in spelled.items()))
+            lexicon = load_lexicon(path, alphabet)
+        lm = load_arpa(make_bigram_arpa(tmp_path / "lm.arpa", lexicon.words, rng))
+        lexicon = smear(lexicon, lm)
+        want = _hex_nbest(oracles.reference_decode, f, tr, lm, lexicon, cfg)
+        assert _hex_nbest(decode, f, tr, lm, lexicon, cfg) == want
