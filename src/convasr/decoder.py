@@ -10,47 +10,27 @@ word boundaries too), the weighted language model, and a per-word term:
 
     total = acoustic + alpha * ln P_lm(words) + beta * |words|
 
-Each hypothesis carries its total, computed once when it is made (and
-again only when a "logadd" merge changes its acoustic score).  Each
-frame the frontier is merged as it is built: every new hypothesis goes
-straight into one table keyed on (trie node, LM state, last label).
-The table is then pruned by beam threshold (drop anything below frame
-best minus the threshold) and beam size (a stable top-k selection over
-in-word hypotheses; word-boundary hypotheses survive the cap since
-they are the decodable outputs and their count is bounded).  In
-"max" mode merging keeps the best hypothesis, which makes an exhaustive
-beam an exact maximizer; "logadd" mode combines the acoustic mass of
-merged hypotheses, a lower bound on the all-paths objective unless the
-beam holds every hypothesis.
-
-In "max" mode a candidate that prune would drop is not built.  Its
-total is checked against lim = max(best - beam_threshold, floor): best
-is the best total offered so far in the frame, and floor the
-``beam_size``-th largest of lower bounds on the totals of distinct
-in-word keys (the first total each key got, and the best offer of the
-word starts to each key).  Merging keeps the maximum, so a key's total
-only grows: neither part of lim exceeds its value in prune, and a
-candidate strictly below it could never be kept.  The bound is exact;
-the n-best lists are those of building every candidate.  Word-boundary
-candidates face the threshold part only, as in prune.  In "logadd" mode
-even a candidate far below lim adds its mass to its key, which may be
-kept, so lim is -inf there and every candidate is built.
-
-Prune breaks exact ties at the cap by a key's first-arrival position in
-the merge table.  A rejected candidate that a later candidate of the
-frame may beat on its key therefore leaves a placeholder (None) there,
-so that the key keeps the position it has when every candidate is built.
-
-Word starts, every word-boundary hypothesis times every first letter of
-the trie, are scored as one array per frame in the addition order of the
-scalar path.  Their best and their per-key best offers bound the frame
-before the first admit, and only the starts that may be kept, or that
-hold a placeholder or complete a one-letter word, are visited.
+The frontier is a set of parallel arrays, one entry per hypothesis, and
+each frame is one array pass: build every candidate, merge, then prune.
+Every hypothesis offers its stay, its silence (at the root) and its
+advances in grapheme order, each advance followed by the word commits it
+completes; that is the candidates' arrival order.  One sort on the
+packed key (trie node, LM state, last label) gathers the candidates of
+each key.  In "max" mode the first arrival with the key's best total
+wins, which makes an exhaustive beam an exact maximizer; "logadd" mode
+folds a key's candidates in arrival order, the winner taking the
+combined acoustic mass, a lower bound on the all-paths objective unless
+the beam holds every hypothesis.  Prune then applies the beam threshold
+(drop anything below frame best minus the threshold) and the beam size
+(a stable top-k selection over in-word hypotheses; word-boundary
+hypotheses survive the cap since they are the decodable outputs and
+their count is bounded).  Exact ties at the cap go to the key that
+arrived first among all candidates.  Nothing is dropped before the
+merge, so no bound is needed to keep the search exact.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -99,17 +79,6 @@ class DecoderConfig:
 
 
 @dataclass
-class Hypothesis:
-    node: object  # current trie node (root when between words)
-    lm_state: tuple
-    last_label: int
-    acoustic: float
-    lm10: float  # committed n-gram mass, log10
-    words: tuple  # committed word ids
-    total: float  # the search objective (see ``decode``)
-
-
-@dataclass
 class DecodeResult:
     words: list  # word strings
     score: float  # total per the decomposition below
@@ -121,24 +90,25 @@ class DecodeResult:
         return len(self.words)
 
 
-def prune(frontier, cfg: DecoderConfig, root):
+def prune(total: np.ndarray, at_root: np.ndarray, cfg: DecoderConfig) -> np.ndarray:
     """Beam thresholding then a stable top-``beam_size`` count cap.
 
-    Drops hypotheses below (frame best - beam_threshold), then keeps the
-    top ``beam_size`` of the rest by ``total``; ties resolve in stable
-    input order.  Hypotheses on the trie node ``root`` (word boundaries)
-    escape the cap: they are the decodable outputs, their count is bounded
-    by LM states x labels, and discarding one can make a wider beam fail
-    where a narrower one succeeded.  The threshold still applies to them.
+    ``total`` holds one hypothesis per entry, in first-arrival order, and
+    ``at_root`` marks those on the trie root (word boundaries).  Returns
+    the indices kept, ascending: those within ``beam_threshold`` of the
+    best, of which at most ``beam_size`` in-word ones, the best by
+    (-total, index).  Root hypotheses escape the cap: they are the
+    decodable outputs, their count is bounded by LM states x labels, and
+    discarding one can make a wider beam fail where a narrower one
+    succeeded.  The threshold still applies to them.
     """
-    if not frontier:
-        return []
-    cut = max(h.total for h in frontier) - cfg.beam_threshold
-    kept = [h for h in frontier if h.total >= cut]
-    capped = [(-h.total, i) for i, h in enumerate(kept) if h.node is not root]
-    if len(capped) > cfg.beam_size:
-        top = {i for _, i in heapq.nsmallest(cfg.beam_size, capped)}
-        kept = [h for i, h in enumerate(kept) if h.node is root or i in top]
+    if total.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    kept = np.flatnonzero(total >= total.max() - cfg.beam_threshold)
+    in_word = kept[~at_root[kept]]
+    if in_word.size > cfg.beam_size:
+        top = in_word[np.argsort(-total[in_word], kind="stable")[: cfg.beam_size]]
+        kept = np.sort(np.concatenate([kept[at_root[kept]], top]))
     return kept
 
 
@@ -157,6 +127,23 @@ def _checked_scores(emissions, transitions: TransitionTable, lexicon: LexiconTri
     if transitions.num_labels != f.shape[1]:
         raise DecodeError("transition table does not match the emission labels")
     return f
+
+
+def _flatten(lexicon: LexiconTrie):
+    """The trie as arrays, breadth first with children in grapheme order,
+    so that the children of node n are nodes first[n] to first[n+1] - 1
+    and the root is node 0.  Returns first, each node's label (-1 at the
+    root), its smeared score (0.0 at the root, which holds no partial
+    word) and the word ids ending at it."""
+    nodes, labels, first = [lexicon.root], [-1], []
+    for node in nodes:  # grows as it goes: a breadth-first walk
+        first.append(len(nodes))
+        for gid, child in sorted(node.children.items()):
+            nodes.append(child)
+            labels.append(gid)
+    first.append(len(nodes))
+    smeared = np.array([0.0] + [node.smeared for node in nodes[1:]])
+    return np.array(first), np.array(labels), smeared, [node.word_ids for node in nodes]
 
 
 def decode(
@@ -178,221 +165,135 @@ def decode(
         raise ValueError("nbest must be >= 1")
     f = _checked_scores(emissions, transitions, lexicon)
     sil = lexicon.alphabet.silence_id
-    root = lexicon.root
     # the search starts from one root hypothesis on a virtual label whose
     # transition row is the start score, so frame 0 expands like the rest
     begin = f.shape[1]
-    trans_table = np.vstack([transitions.trans, transitions.start])
-    trans = trans_table.tolist()
-    frontier = [Hypothesis(root, lm.start_state(), begin, 0.0, 0.0, (), 0.0)]
+    trans = np.vstack([transitions.trans, transitions.start])
+    first, label, smeared, ends = _flatten(lexicon)
+    ends_word = np.array([bool(e) for e in ends])
+    # arrival positions per candidate: its own, then one per word it commits
+    width = 1 + max(len(e) for e in ends)
+    # LM states are interned to ints, in order of first use
+    states = [lm.start_state()]
+    state_ids = {states[0]: 0}
 
     # alpha * ln(10), so that the LM term is lm_weight * log10 mass; a
     # zero weight counts 0, also for an impossible (-inf) word sequence
     lm_weight = cfg.alpha * LN10
-    beam_size, threshold = cfg.beam_size, cfg.beam_threshold
-    bounded = cfg.mode == "max"
 
-    def score(acoustic: float, lm10: float, node, words: tuple) -> float:
+    def totals(acoustic, lm10, smear10, num_words):
         # off the root the partial word adds its smeared LM estimate
-        smear10 = 0.0 if node is root else node.smeared
         lm_term = lm_weight * (lm10 + smear10) if lm_weight else 0.0
-        return acoustic + lm_term + cfg.beta * len(words)
+        return (acoustic + lm_term) + cfg.beta * num_words
 
-    # each node's children in grapheme order, the order candidates arrive
-    # in, sorted once per decode
-    sorted_children: dict = {}
+    # the frontier: node, LM state, last label, acoustic score, committed
+    # n-gram mass (log10), word count, and the committed word ids
+    node = np.zeros(1, dtype=np.intp)
+    state = np.zeros(1, dtype=np.intp)
+    last = np.full(1, begin)
+    acoustic = np.zeros(1)
+    lm10 = np.zeros(1)
+    num_words = np.zeros(1, dtype=np.intp)
+    words = [()]
 
-    def children(node) -> list:
-        kids = sorted_children.get(id(node))
-        if kids is None:
-            kids = sorted_children[id(node)] = sorted(node.children.items())
-        return kids
-
-    # word starts: every root hypothesis times every child of the root
-    starts = children(root)
-    start_gids = np.array([gid for gid, _ in starts], dtype=np.intp)
-    start_smeared = np.array([child.smeared for _, child in starts])
-    start_trans = trans_table[:, start_gids]
-    start_emissions = f[:, start_gids]
-    start_col = {gid: col for col, (gid, _) in enumerate(starts)}
-    start_ends_word = np.array([bool(child.word_ids) for _, child in starts])
-    first_letters = {id(child) for _, child in starts}
-
-    def word_starts(t: int):
-        """Score the word starts of frame ``t`` as one (rows, starts) array,
-        a row per root hypothesis in frontier order, in the addition order
-        of ``extend`` and ``score``.  Returns each row's acoustic scores and
-        totals, the columns each row must offer, in grapheme order, and the
-        bound they give before the first admit: the best start, the top
-        ``beam_size`` per-key best starts and lim (logadd mode: no bound)."""
-        rows = [(at, hyp) for at, hyp in enumerate(frontier) if hyp.node is root]
-        if not rows:
-            return [], [], [], -math.inf, [], -math.inf
-        hyps = [hyp for _, hyp in rows]
-        last = np.array([hyp.last_label for hyp in hyps])
-        acoustic = (np.array([hyp.acoustic for hyp in hyps])[:, None] + start_trans[last]) + start_emissions[t]
-        lm_term = lm_weight * (np.array([hyp.lm10 for hyp in hyps])[:, None] + start_smeared) if lm_weight else 0.0
-        total = (acoustic + lm_term) + cfg.beta * np.array([len(hyp.words) for hyp in hyps])[:, None]
-        # a row starts every word but the one that repeats its last letter
-        # (identical letters need silence or another word in between), and
-        # none after a word when silence is mandatory
-        allowed = start_gids != last[:, None]
+    for frame in f:
+        # every hypothesis owns slots 0 (stay), 1 (silence) and 2 on (one
+        # per child in grapheme order); a slot that cannot move is masked
+        count = 2 + first[node + 1] - first[node]
+        src = np.repeat(np.arange(node.size), count)
+        slot = np.arange(src.size) - np.repeat(np.cumsum(count) - count, count)
+        stay, silence = slot == 0, slot == 1
+        from_node, from_last = node[src], last[src]
+        at_root = from_node == 0
+        to = np.where(stay, from_node, np.where(silence, 0, first[from_node] + slot - 2))
+        lab = np.where(stay, from_last, np.where(silence, sil, label[to]))
+        # the virtual start label cannot stay; advancing onto the last
+        # label is indistinguishable from staying (identical letters need
+        # silence or another word in between)
+        ok = np.where(stay, from_last != begin, lab != from_last)
+        ok[silence] &= at_root[silence] & (cfg.silence != "none")
         if cfg.silence == "mandatory":
-            allowed[(last != sil) & (last != begin)] = False
-        best, top, lim, visit = -math.inf, [], -math.inf, allowed
-        if bounded:
-            offered = np.where(allowed, total, -np.inf)
-            best = float(offered.max())
-            # rows sharing an LM state offer to the same keys: the best
-            # offer per key bounds that key's total
-            states: dict = {}
-            groups = [states.setdefault(hyp.lm_state, len(states)) for hyp in hyps]
-            per_key = np.full((len(states), len(starts)), -np.inf)
-            np.maximum.at(per_key, groups, offered)
-            per_key = per_key[per_key > -np.inf]
-            if per_key.size > beam_size:
-                per_key = np.partition(per_key, -beam_size)[-beam_size:]
-            top = sorted(per_key.tolist())
-            lim = best - threshold
-            if len(top) == beam_size:
-                lim = max(lim, top[0])
-            # A start below lim is dropped, and holds its key's place in the
-            # merge table only if a later candidate may still win that key:
-            # a later row of the same LM state offering at least lim, or the
-            # stay of the frontier's hypothesis on that key.
-            above = offered >= lim
-            later = np.zeros_like(above)
-            group_rows: list = [[] for _ in states]
-            for r in range(len(rows) - 1, -1, -1):
-                same = group_rows[groups[r]]
-                if same:
-                    later[r] = above[same[-1]] | later[same[-1]]
-                same.append(r)
-            for at, hyp in enumerate(frontier):
-                g = states.get(hyp.lm_state) if id(hyp.node) in first_letters else None
-                if g is not None:
-                    col = start_col[hyp.last_label]
-                    for r in group_rows[g]:
-                        if rows[r][0] < at:
-                            later[r, col] = True
-            # word-ending starts also commit, whatever their own total
-            visit = allowed & (above | later | start_ends_word)
-        visits: list = [[] for _ in rows]
-        r_idx, c_idx = np.nonzero(visit)
-        for r, col in zip(r_idx.tolist(), c_idx.tolist()):
-            visits[r].append(col)
-        return acoustic.tolist(), total.tolist(), visits, best, top, lim
+            # after a word, a new word needs silence first
+            ok &= ~(at_root & (slot >= 2) & (from_last != sil) & (from_last != begin))
+        pos = np.flatnonzero(ok)
+        src, to, lab = src[pos], to[pos], lab[pos]
+        moved = (acoustic[src] + trans[last[src], lab]) + frame[lab]
 
-    # admit works on the current frame's merge table and bound
-    def admit(node, lm_state: tuple, label: int, acoustic: float, lm10: float, words: tuple, total: float):
-        # merge on (trie node, LM state, last label); the table keeps
-        # first-arrival order, which breaks ties in prune
-        nonlocal best, cut, lim
-        key = (id(node), lm_state, label)
-        if total < (cut if node is root else lim):
-            # prune would drop it; a later candidate may still win this
-            # key, and it must arrive where this one did
-            merged.setdefault(key, None)
-            return
-        old = merged.get(key)
-        if old is None:
-            merged[key] = Hypothesis(node, lm_state, label, acoustic, lm10, words, total)
-            if bounded and node is not root and key[0] not in first_letters:
-                # a lower bound on this key's final total: count it once
-                if len(floor) < beam_size:
-                    heapq.heappush(floor, total)
-                elif total > floor[0]:
-                    heapq.heapreplace(floor, total)
-                if len(floor) == beam_size and floor[0] > lim:
-                    lim = floor[0]
-        elif total > old.total:
-            # the winner keeps its history; logadd mode adds the loser's mass
-            if cfg.mode == "logadd":
-                acoustic = float(np.logaddexp(acoustic, old.acoustic))
-                total = score(acoustic, lm10, node, words)
-            merged[key] = Hypothesis(node, lm_state, label, acoustic, lm10, words, total)
-        elif cfg.mode == "logadd":
-            old.acoustic = float(np.logaddexp(old.acoustic, acoustic))
-            old.total = score(old.acoustic, old.lm10, node, old.words)
-        if bounded and total > best:
-            best = total
-            cut = best - threshold
-            lim = max(lim, cut)
+        # a word ends where an advance arrives (not a stay): a committed
+        # copy goes back to the root, right after the advance
+        pool = list(words)
+        extra = []  # per commit: its advance, sub-slot, LM state and lm10
+        for i in np.flatnonzero((slot[pos] >= 2) & ends_word[to]).tolist():
+            row = src[i]
+            for sub, wid in enumerate(ends[to[i]], 1):
+                s, new = score_word(lm, states[state[row]], lexicon.words[wid])
+                if new not in state_ids:
+                    state_ids[new] = len(states)
+                    states.append(new)
+                extra.append((i, sub, state_ids[new], lm10[row] + s))
+                pool.append(words[row] + (wid,))
+        extra = np.array(extra).reshape(-1, 4).T
+        parent, sub, new_state = extra[:3].astype(np.intp)
+        c_node = np.concatenate([to, np.zeros(parent.size, dtype=np.intp)])
+        c_state = np.concatenate([state[src], new_state])
+        c_label = np.concatenate([lab, lab[parent]])
+        c_acoustic = np.concatenate([moved, moved[parent]])
+        c_lm10 = np.concatenate([lm10[src], extra[3]])
+        c_words = np.concatenate([num_words[src], num_words[src[parent]] + 1])
+        c_history = np.concatenate([src, np.arange(len(words), len(pool))])
+        arrival = np.concatenate([pos * width, pos[parent] * width + sub])
+        c_total = totals(c_acoustic, c_lm10, smeared[c_node], c_words)
 
-    def extend(hyp: Hypothesis, node, label: int) -> float:
-        """Offer ``hyp`` moved onto (node, label); returns its own acoustic
-        score, before any merge."""
-        acoustic = hyp.acoustic + trans[hyp.last_label][label] + frame[label]
-        admit(node, hyp.lm_state, label, acoustic, hyp.lm10, hyp.words, score(acoustic, hyp.lm10, node, hyp.words))
-        return acoustic
-
-    def commit(hyp: Hypothesis, child, gid: int, acoustic: float):
-        # a word ends at ``child``: a committed copy goes back to the root
-        for wid in child.word_ids:
-            s, state = score_word(lm, hyp.lm_state, lexicon.words[wid])
-            lm10, words = hyp.lm10 + s, hyp.words + (wid,)
-            admit(root, state, gid, acoustic, lm10, words, score(acoustic, lm10, root, words))
-
-    for t, frame in enumerate(f.tolist()):
-        merged: dict = {}
-        # best: the best total offered so far; floor: a min-heap of lower
-        # bounds on the totals of distinct in-word keys, its top
-        # ``beam_size``.  A candidate below cut (word boundaries) or lim
-        # (in-word) would be pruned.
-        start_acoustic, start_total, visits, best, floor, lim = word_starts(t)
-        cut = best - threshold
-        row = 0
-        for hyp in frontier:
-            last = hyp.last_label
-            node = hyp.node
-            # stay on the current grapheme (the virtual start label has none)
-            if last != begin:
-                extend(hyp, node, last)
-            if node is not root:
-                # advance deeper into the word
-                for gid, child in children(node):
-                    if gid == last:
-                        # indistinguishable from staying (spellings from
-                        # ``lm`` never repeat a label adjacently)
-                        continue
-                    acoustic = extend(hyp, child, gid)
-                    if child.word_ids:
-                        commit(hyp, child, gid, acoustic)
-                continue
-            # silence between words
-            if cfg.silence != "none" and last != sil:
-                extend(hyp, root, sil)
-            # start a new word: admit the visited starts in grapheme order
-            acoustics, totals = start_acoustic[row], start_total[row]
-            for col in visits[row]:
-                gid, child = starts[col]
-                admit(child, hyp.lm_state, gid, acoustics[col], hyp.lm10, hyp.words, totals[col])
-                if child.word_ids:
-                    commit(hyp, child, gid, acoustics[col])
-            row += 1
-        frontier = prune([hyp for hyp in merged.values() if hyp is not None], cfg, root)
+        # merge: sort by key, then arrival, and fold each key's candidates
+        # in arrival order, one member per round across all keys
+        key = (c_node * len(states) + c_state) * begin + c_label
+        order = np.lexsort((arrival, key))
+        head = np.flatnonzero(np.r_[True, key[order[1:]] != key[order[:-1]]])
+        size = np.diff(np.r_[head, order.size])
+        win = order[head]
+        win_acoustic, win_total = c_acoustic[win], c_total[win]
+        for k in range(1, size.max()):
+            g = np.flatnonzero(size > k)
+            m = order[head[g] + k]
+            # a candidate whose own total beats the running one takes over
+            take = c_total[m] > win_total[g]
+            win[g] = np.where(take, m, win[g])
+            if cfg.mode == "max":
+                win_acoustic[g] = np.where(take, c_acoustic[m], win_acoustic[g])
+                win_total[g] = np.where(take, c_total[m], win_total[g])
+            else:
+                # the winner's acoustic score adds every candidate's mass
+                win_acoustic[g] = np.logaddexp(win_acoustic[g], c_acoustic[m])
+                h = win[g]
+                win_total[g] = totals(win_acoustic[g], c_lm10[h], smeared[c_node[h]], c_words[h])
+        # prune on the keys in first-arrival order
+        rank = np.argsort(arrival[order[head]])
+        kept = prune(win_total[rank], c_node[win[rank]] == 0, cfg)
+        h = win[rank[kept]]
+        node, state, last, lm10, num_words = c_node[h], c_state[h], c_label[h], c_lm10[h], c_words[h]
+        acoustic = win_acoustic[rank[kept]]
+        words = [pool[i] for i in c_history[h].tolist()]
 
     # the words of a complete hypothesis fix its LM state and score, so
     # hypotheses sharing words differ only in acoustic score
     complete: dict[tuple, list] = {}
-    for hyp in frontier:
-        if hyp.node is root:
-            complete.setdefault(hyp.words, []).append(hyp)
+    for row in np.flatnonzero(node == 0).tolist():
+        complete.setdefault(words[row], []).append(row)
     if not complete:
         raise DecodeError(
             "no complete hypothesis survived decoding "
             "(beam too narrow, threshold too tight, or utterance too short)"
         )
     results = []
-    for words, hyps in complete.items():
-        scores = [h.acoustic for h in hyps]
-        acoustic = max(scores) if cfg.mode == "max" else logadd(scores)
-        lm10 = hyps[0].lm10
+    for seq, rows in complete.items():
+        scores = acoustic[rows].tolist()
+        total_acoustic = max(scores) if cfg.mode == "max" else logadd(scores)
+        mass = float(lm10[rows[0]])
         if EOS in lm.vocab:
-            lm10 += score_word(lm, hyps[0].lm_state, EOS)[0]
-        total = score(acoustic, lm10, root, words)
+            mass += score_word(lm, states[state[rows[0]]], EOS)[0]
+        total = totals(total_acoustic, mass, 0.0, len(seq))
         results.append(
-            DecodeResult([lexicon.words[w] for w in words], total, acoustic, LN10 * lm10)
+            DecodeResult([lexicon.words[w] for w in seq], total, total_acoustic, LN10 * mass)
         )
     results.sort(key=lambda r: -r.score)
     return results[:nbest]

@@ -2,12 +2,19 @@
 
 Everything here avoids the library's dynamic programs: paths are
 enumerated explicitly (recursively or as dense index arrays) and scored
-one by one, so a DP bug cannot hide in its own oracle.
+one by one, so a DP bug cannot hide in its own oracle.  The beam
+search's reference, ``reference_decode``, builds its hypotheses one
+object at a time where the decoder works on arrays.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
+
+from convasr.criterion import logadd
+from convasr.decoder import DecodeError, DecodeResult, _checked_scores
+from convasr.lm import EOS, LN10, score_word
 
 
 def path_score(path, f, trans, start):
@@ -168,14 +175,17 @@ def relative_close(analytic, numeric, rtol=1e-5, atol=1e-7):
     return abs(analytic - numeric) <= atol + rtol * max(abs(analytic), abs(numeric))
 
 
+@dataclass
 class _Hypothesis:
     """One search hypothesis of ``reference_decode``."""
 
-    __slots__ = ("node", "lm_state", "last_label", "acoustic", "lm10", "words", "total")
-
-    def __init__(self, node, lm_state, last_label, acoustic, lm10, words, total):
-        self.node, self.lm_state, self.last_label = node, lm_state, last_label
-        self.acoustic, self.lm10, self.words, self.total = acoustic, lm10, words, total
+    node: object  # trie node (the root between words)
+    lm_state: tuple
+    last_label: int
+    acoustic: float
+    lm10: float  # committed n-gram mass, log10
+    words: tuple  # committed word ids
+    total: float
 
 
 def _reference_prune(frontier, cfg, root):
@@ -199,10 +209,6 @@ def reference_decode(emissions, transitions, lm, lexicon, cfg, nbest=10):
     keyed on (trie node, LM state, last label), in that order, and the
     table is pruned.  ``convasr.decoder.decode`` must return the same
     n-best lists bit for bit, or raise the same ``DecodeError``."""
-    from convasr.criterion import logadd
-    from convasr.decoder import DecodeError, DecodeResult, _checked_scores
-    from convasr.lm import EOS, LN10, score_word
-
     if nbest < 1:
         raise ValueError("nbest must be >= 1")
     f = _checked_scores(emissions, transitions, lexicon)

@@ -11,7 +11,6 @@ from convasr.decoder import (
     DecodeError,
     DecodeResult,
     DecoderConfig,
-    Hypothesis,
     decode,
     exhaustive_decode,
     prune,
@@ -44,32 +43,28 @@ def exhaustive_cfg(**kw):
 
 
 class TestPrune:
-    # a root no hypothesis sits on: the count cap applies to every one
-    off_root = object()
-
     def cfg(self, **kw):
         return DecoderConfig(**kw)
 
-    def hyps(self, scores):
-        # score carried through acoustic and total; everything else neutral
-        return [Hypothesis(None, (), 0, s, 0.0, (), s) for s in scores]
+    def keep(self, scores, cfg, at_root=None):
+        # hypotheses off the root unless marked: the count cap applies to every one
+        total = np.array(scores, dtype=float)
+        at_root = np.zeros(total.size, dtype=bool) if at_root is None else np.asarray(at_root)
+        return prune(total, at_root, cfg).tolist()
 
     def test_all_equal_within_beam_unchanged(self):
-        hyps = self.hyps([1.0] * 5)
-        assert prune(hyps, self.cfg(beam_size=5), self.off_root) == hyps
+        assert self.keep([1.0] * 5, self.cfg(beam_size=5)) == [0, 1, 2, 3, 4]
 
     def test_top_k_with_infinite_threshold(self):
         scores = [3.0, 1.0, 2.0, 5.0, 4.0]
-        hyps = self.hyps(scores)
-        kept = prune(hyps, self.cfg(beam_size=2), self.off_root)
-        assert [h.acoustic for h in kept] == [5.0, 4.0] or [h.acoustic for h in kept] == [3.0, 5.0]
+        kept = self.keep(scores, self.cfg(beam_size=2))
         # exact selection: the two best, in stable (input) order
-        assert sorted(h.acoustic for h in kept) == [4.0, 5.0]
+        assert kept == [3, 4]
+        assert sorted(scores[i] for i in kept) == [4.0, 5.0]
 
     def test_threshold_drops_far_hypotheses(self):
-        hyps = self.hyps([0.0, -5.0, -1.0])
-        kept = prune(hyps, self.cfg(beam_size=10, beam_threshold=2.0), self.off_root)
-        assert [h.acoustic for h in kept] == [0.0, -1.0]
+        kept = self.keep([0.0, -5.0, -1.0], self.cfg(beam_size=10, beam_threshold=2.0))
+        assert kept == [0, 2]
 
     def test_matches_sort_based_reference(self):
         rng = np.random.default_rng(0)
@@ -78,28 +73,22 @@ class TestPrune:
             scores = list(np.round(rng.normal(size=n), 2))  # rounded: force ties
             beam = int(rng.integers(1, 10))
             thr = float(rng.uniform(0.5, 5.0))
-            hyps = self.hyps(scores)
-            kept = prune(hyps, self.cfg(beam_size=beam, beam_threshold=thr), self.off_root)
-            want = oracles.sort_based_prune(hyps, scores, beam, thr)
+            kept = self.keep(scores, self.cfg(beam_size=beam, beam_threshold=thr))
+            want = oracles.sort_based_prune(list(range(n)), scores, beam, thr)
             assert kept == want
 
     def test_empty_frontier(self):
-        assert prune([], self.cfg(), self.off_root) == []
+        assert self.keep([], self.cfg()) == []
 
     def test_root_hypotheses_escape_the_cap(self):
         rng = np.random.default_rng(1)
-        root = object()
         for _ in range(100):
             n = int(rng.integers(1, 30))
             scores = list(np.round(rng.normal(size=n), 2))  # rounded: force ties
             at_root = rng.random(n) < 0.5
             beam = int(rng.integers(1, 6))
             thr = float(rng.uniform(0.5, 5.0))
-            hyps = [
-                Hypothesis(root if r else object(), (), 0, s, 0.0, (), s)
-                for s, r in zip(scores, at_root)
-            ]
-            kept = prune(hyps, self.cfg(beam_size=beam, beam_threshold=thr), root=root)
+            kept = self.keep(scores, self.cfg(beam_size=beam, beam_threshold=thr), at_root)
             cut = max(scores) - thr
             passing = [i for i in range(n) if scores[i] >= cut]
             # every root hypothesis within the threshold, whatever the beam
@@ -108,7 +97,7 @@ class TestPrune:
                 (i for i in passing if not at_root[i]), key=lambda i: (-scores[i], i)
             )
             want.update(in_word[:beam])
-            assert [id(h) for h in kept] == [id(hyps[i]) for i in sorted(want)]
+            assert kept == sorted(want)
 
 
 class TestDecodeBasics:
@@ -622,8 +611,8 @@ def recorded_ties() -> list:
 
 class TestTieGolden:
     def test_matches_recorded_nbest_bit_for_bit(self, tmp_path):
-        # exact ties at the beam cap resolve by first-arrival position in
-        # the merge table, so skipped candidates must keep that position
+        # exact ties at the beam cap resolve by each key's first-arrival
+        # position among all of the frame's candidates
         want = recorded_ties()
         got = tie_sweep_nbest(tmp_path)
         assert len(got) == len(want)
