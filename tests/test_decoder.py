@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from convasr.alphabet import make_alphabet
+from convasr.alphabet import default_alphabet, encode_transcription, make_alphabet
 from convasr.criterion import CriterionError, TransitionTable
 from convasr.decoder import (
     DecodeError,
@@ -23,6 +23,7 @@ from conftest import make_bigram_arpa, random_transitions
 LETTERS = "abcd"
 GOLDEN_NBEST = pathlib.Path(__file__).parent / "golden" / "decode_nbest.json"
 GOLDEN_TIES = pathlib.Path(__file__).parent / "golden" / "decode_ties.json"
+GOLDEN_SCALE = pathlib.Path(__file__).parent / "golden" / "decode_scale.json"
 
 
 @pytest.fixture
@@ -68,14 +69,21 @@ class TestPrune:
 
     def test_matches_sort_based_reference(self):
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            n = int(rng.integers(1, 30))
-            scores = list(np.round(rng.normal(size=n), 2))  # rounded: force ties
-            beam = int(rng.integers(1, 10))
-            thr = float(rng.uniform(0.5, 5.0))
-            kept = self.keep(scores, self.cfg(beam_size=beam, beam_threshold=thr))
-            want = oracles.sort_based_prune(list(range(n)), scores, beam, thr)
-            assert kept == want
+        # small frontiers, then up to 300 hypotheses with scores to one
+        # decimal, where many equal totals straddle the k-th best
+        for size, decimals, max_beam in ((30, 2, 10), (300, 1, 50)):
+            for _ in range(100):
+                n = int(rng.integers(1, size))
+                scores = list(np.round(rng.normal(size=n), decimals))  # rounded: force ties
+                beam = int(rng.integers(1, max_beam))
+                thr = float(rng.uniform(0.5, 5.0))
+                kept = self.keep(scores, self.cfg(beam_size=beam, beam_threshold=thr))
+                want = oracles.sort_based_prune(list(range(n)), scores, beam, thr)
+                assert kept == want
+        assert self.keep([2, 1, 1, 1, 1, 0], self.cfg(beam_size=3)) == [0, 1, 2]
+        # -0.0 and 0.0 are equal totals, so index order breaks their tie
+        assert self.keep([0.0, 1.0, -0.0, 0.0], self.cfg(beam_size=2)) == [0, 1]
+        assert self.keep([-0.0, 1.0, 0.0], self.cfg(beam_size=2)) == [0, 1]
 
     def test_empty_frontier(self):
         assert self.keep([], self.cfg()) == []
@@ -191,6 +199,22 @@ class TestDecodeBasics:
         a = decode(f, tr, lm, lexicon, exhaustive_cfg(), nbest=5)
         b = decode(f, tr, lm, lexicon, exhaustive_cfg(), nbest=5)
         assert [(r.words, r.score) for r in a] == [(r.words, r.score) for r in b]
+
+    def test_resmear_refreshes_the_flat_trie(self, tmp_path, alphabet):
+        # decode flattens the trie once; smearing it again with another
+        # LM must not leave the first LM's smeared scores in that form
+        rng = np.random.default_rng(1)
+        words = lexicon_with_a_letter(rng, 5, 7)
+        lm = load_arpa(make_bigram_arpa(tmp_path / "lm.arpa", words, rng))
+        lm2 = load_arpa(make_bigram_arpa(tmp_path / "lm2.arpa", words, rng))
+        f, tr = rng.normal(size=(10, len(alphabet))), random_transitions(rng, len(alphabet))
+        cfg = DecoderConfig(alpha=1.0, beta=-0.5, beam_size=2)
+        lexicon = smear(build_lexicon(words, alphabet), lm)
+        stale = hex_nbest(f, tr, lm2, lexicon, cfg)
+        smear(lexicon, lm2)
+        want = hex_nbest(f, tr, lm2, smear(build_lexicon(words, alphabet), lm2), cfg)
+        assert stale != want  # the first LM's smearing changes this search
+        assert hex_nbest(f, tr, lm2, lexicon, cfg) == want
 
     def test_concurrent_utterances_share_lm_and_lexicon(self, tmp_path, alphabet):
         # one utterance per thread over the same immutable model objects
@@ -623,6 +647,48 @@ class TestTieGolden:
         got = hex_nbest(*word_end_commit_case(tmp_path))
         assert [r[0] for r in got["nbest"]] == [["bc"], ["a"]]
         assert {"case": "word_end_commit", **got} == recorded_ties()[-1]
+
+
+def scale_nbest(tmp_path) -> list:
+    """n-best lists (``hex_nbest``) of 3 seeded utterances of 60-80 frames
+    over 300 random words of 3-8 letters and a bigram model on them, at
+    beam 100 and threshold 25, in max and logadd modes.  Unlike the small
+    goldens, its frames offer thousands of candidates, fold keys over
+    several rounds and cap in-word keys while root keys escape the cap.
+    ``tests/golden/decode_scale.json`` holds this list, one case a line;
+    re-record it only when the search changes on purpose."""
+    alphabet = default_alphabet()
+    L = len(alphabet)
+    rng = np.random.default_rng(1609)
+    words = set()
+    while len(words) < 300:
+        words.add("".join(chr(97 + int(c)) for c in rng.integers(0, 26, int(rng.integers(3, 9)))))
+    words = sorted(words)
+    lm = load_arpa(make_bigram_arpa(tmp_path / "scale.arpa", words, rng, backoff_prob=0.1))
+    lexicon = smear(build_lexicon(words, alphabet), lm)
+    tr = random_transitions(rng, L)
+    cases = []
+    for utterance in range(3):
+        # a sentence's silence-separated spelling, 2-3 frames per label,
+        # each peaking over unit Gaussian scores by 1.5 to 4.5
+        size = int(rng.integers(60, 81))
+        spelling = []
+        while 2 * len(spelling) < size:
+            word = words[int(rng.integers(0, len(words)))]
+            spelling += encode_transcription(word, alphabet) + [alphabet.silence_id]
+        frames = np.repeat(spelling, rng.integers(2, 4, len(spelling)))[:size]
+        f = rng.normal(size=(size, L))
+        f[np.arange(size), frames] += rng.uniform(1.5, 4.5, size)
+        for mode in ("max", "logadd"):
+            cfg = DecoderConfig(alpha=1.0, beta=0.5, beam_size=100, beam_threshold=25.0, mode=mode)
+            cases.append({"utterance": utterance, "mode": mode, **hex_nbest(f, tr, lm, lexicon, cfg)})
+    return cases
+
+
+class TestScaleGolden:
+    def test_matches_recorded_nbest_bit_for_bit(self, tmp_path):
+        want = [json.loads(line) for line in GOLDEN_SCALE.read_text().splitlines()]
+        assert scale_nbest(tmp_path) == want
 
 
 class TestConfigValidation:
