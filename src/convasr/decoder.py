@@ -10,23 +10,22 @@ word boundaries too), the weighted language model, and a per-word term:
 
     total = acoustic + alpha * ln P_lm(words) + beta * |words|
 
-The frontier is a set of parallel arrays, one entry per hypothesis, and
-each frame is one array pass: build every candidate, merge, then prune.
-Every hypothesis offers its stay, its silence (at the root) and its
-advances in grapheme order, each advance followed by the word commits it
-completes; that is the candidates' arrival order.  One sort on the
-packed key (trie node, LM state, last label) gathers the candidates of
-each key.  In "max" mode the first arrival with the key's best total
-wins, which makes an exhaustive beam an exact maximizer; "logadd" mode
-folds a key's candidates in arrival order, the winner taking the
-combined acoustic mass, a lower bound on the all-paths objective unless
-the beam holds every hypothesis.  Prune then applies the beam threshold
-(drop anything below frame best minus the threshold) and the beam size
-(a stable top-k selection over in-word hypotheses; word-boundary
-hypotheses survive the cap since they are the decodable outputs and
-their count is bounded).  Exact ties at the cap go to the key that
-arrived first among all candidates.  Nothing is dropped before the
-merge, so no bound is needed to keep the search exact.
+The frontier is a set of parallel arrays over the trie's flat form, built
+once per lexicon.  Each frame builds every candidate in arrival order:
+per hypothesis its stay, its silence (at the root) and its advances in
+grapheme order, each advance followed by the word commits it completes.
+One sort of packed integers (key, then arrival index) gathers the
+candidates of each key (trie node, LM state, last label), and a mask
+over the candidates ranks the keys by first arrival.  In "max" mode the
+first arrival with the key's best total wins, which makes an exhaustive
+beam an exact maximizer; "logadd" mode folds a key's candidates in
+arrival order, the winner taking the combined acoustic mass, a lower
+bound on the all-paths objective unless the beam holds every hypothesis.
+Prune keeps the keys within the beam threshold of the frame best, then
+caps the in-word keys at the beam size with one partition at the k-th
+best total, exact ties going to the key that arrived first; word-boundary
+keys escape the cap, being the decodable outputs and bounded in number.
+Nothing is dropped before the merge: exactness needs no search bound.
 """
 
 from __future__ import annotations
@@ -102,13 +101,17 @@ def prune(total: np.ndarray, at_root: np.ndarray, cfg: DecoderConfig) -> np.ndar
     discarding one can make a wider beam fail where a narrower one
     succeeded.  The threshold still applies to them.
     """
-    if total.size == 0:
-        return np.zeros(0, dtype=np.intp)
-    kept = np.flatnonzero(total >= total.max() - cfg.beam_threshold)
-    in_word = kept[~at_root[kept]]
-    if in_word.size > cfg.beam_size:
-        top = in_word[np.argsort(-total[in_word], kind="stable")[: cfg.beam_size]]
-        kept = np.sort(np.concatenate([kept[at_root[kept]], top]))
+    kept = np.flatnonzero(total >= total.max(initial=-np.inf) - cfg.beam_threshold)
+    keep = at_root[kept]  # root keys, whatever the cap
+    score = total[kept[~keep]]
+    if score.size > cfg.beam_size:
+        # every in-word total above the k-th best, then those equal to it
+        # in index order until the cap is full
+        kth = np.partition(score, -cfg.beam_size)[-cfg.beam_size]
+        top = score > kth
+        top[np.flatnonzero(score == kth)[: cfg.beam_size - np.count_nonzero(top)]] = True
+        keep[~keep] = top
+        kept = kept[keep]
     return kept
 
 
@@ -127,23 +130,6 @@ def _checked_scores(emissions, transitions: TransitionTable, lexicon: LexiconTri
     if transitions.num_labels != f.shape[1]:
         raise DecodeError("transition table does not match the emission labels")
     return f
-
-
-def _flatten(lexicon: LexiconTrie):
-    """The trie as arrays, breadth first with children in grapheme order,
-    so that the children of node n are nodes first[n] to first[n+1] - 1
-    and the root is node 0.  Returns first, each node's label (-1 at the
-    root), its smeared score (0.0 at the root, which holds no partial
-    word) and the word ids ending at it."""
-    nodes, labels, first = [lexicon.root], [-1], []
-    for node in nodes:  # grows as it goes: a breadth-first walk
-        first.append(len(nodes))
-        for gid, child in sorted(node.children.items()):
-            nodes.append(child)
-            labels.append(gid)
-    first.append(len(nodes))
-    smeared = np.array([0.0] + [node.smeared for node in nodes[1:]])
-    return np.array(first), np.array(labels), smeared, [node.word_ids for node in nodes]
 
 
 def decode(
@@ -169,10 +155,7 @@ def decode(
     # transition row is the start score, so frame 0 expands like the rest
     begin = f.shape[1]
     trans = np.vstack([transitions.trans, transitions.start])
-    first, label, smeared, ends = _flatten(lexicon)
-    ends_word = np.array([bool(e) for e in ends])
-    # arrival positions per candidate: its own, then one per word it commits
-    width = 1 + max(len(e) for e in ends)
+    first, label, smeared, ends, num_ends = lexicon.flat
     # LM states are interned to ints, in order of first use
     states = [lm.start_state()]
     state_ids = {states[0]: 0}
@@ -188,13 +171,8 @@ def decode(
 
     # the frontier: node, LM state, last label, acoustic score, committed
     # n-gram mass (log10), word count, and the committed word ids
-    node = np.zeros(1, dtype=np.intp)
-    state = np.zeros(1, dtype=np.intp)
-    last = np.full(1, begin)
-    acoustic = np.zeros(1)
-    lm10 = np.zeros(1)
-    num_words = np.zeros(1, dtype=np.intp)
-    words = [()]
+    node, state, num_words = (np.zeros(1, dtype=np.intp) for _ in range(3))
+    last, acoustic, lm10, words = np.full(1, begin), np.zeros(1), np.zeros(1), [()]
 
     for frame in f:
         # every hypothesis owns slots 0 (stay), 1 (silence) and 2 on (one
@@ -219,38 +197,45 @@ def decode(
         src, to, lab = src[pos], to[pos], lab[pos]
         moved = (acoustic[src] + trans[last[src], lab]) + frame[lab]
 
-        # a word ends where an advance arrives (not a stay): a committed
-        # copy goes back to the root, right after the advance
+        # an advance (not a stay) onto a word end is followed by its committed
+        # copies at the root: the array order is the candidates' arrival order
+        commits = np.where(slot[pos] >= 2, num_ends[to], 0)
+        at = np.repeat(np.arange(pos.size), 1 + commits)  # each one's advance
+        is_commit = np.diff(at, prepend=-1) == 0  # all but an advance's first
         pool = list(words)
-        extra = []  # per commit: its advance, sub-slot, LM state and lm10
-        for i in np.flatnonzero((slot[pos] >= 2) & ends_word[to]).tolist():
+        new_state, new_lm10 = [], []
+        for i in np.flatnonzero(commits).tolist():
             row = src[i]
-            for sub, wid in enumerate(ends[to[i]], 1):
+            for wid in ends[to[i]]:
                 s, new = score_word(lm, states[state[row]], lexicon.words[wid])
                 if new not in state_ids:
                     state_ids[new] = len(states)
                     states.append(new)
-                extra.append((i, sub, state_ids[new], lm10[row] + s))
+                new_state.append(state_ids[new])
+                new_lm10.append(lm10[row] + s)
                 pool.append(words[row] + (wid,))
-        extra = np.array(extra).reshape(-1, 4).T
-        parent, sub, new_state = extra[:3].astype(np.intp)
-        c_node = np.concatenate([to, np.zeros(parent.size, dtype=np.intp)])
-        c_state = np.concatenate([state[src], new_state])
-        c_label = np.concatenate([lab, lab[parent]])
-        c_acoustic = np.concatenate([moved, moved[parent]])
-        c_lm10 = np.concatenate([lm10[src], extra[3]])
-        c_words = np.concatenate([num_words[src], num_words[src[parent]] + 1])
-        c_history = np.concatenate([src, np.arange(len(words), len(pool))])
-        arrival = np.concatenate([pos * width, pos[parent] * width + sub])
+        c_history, c_label, c_acoustic = src[at], lab[at], moved[at]
+        c_node, c_words = np.where(is_commit, 0, to[at]), num_words[c_history] + is_commit
+        c_state, c_lm10 = state[c_history], lm10[c_history]
+        c_state[is_commit], c_lm10[is_commit] = new_state, new_lm10
+        c_history[is_commit] = np.arange(len(words), len(pool))
         c_total = totals(c_acoustic, c_lm10, smeared[c_node], c_words)
 
-        # merge: sort by key, then arrival, and fold each key's candidates
-        # in arrival order, one member per round across all keys
+        # merge: one sort of key << bits | index (index < 2 ** bits) orders by
+        # key, then arrival; int64 holds it while key < 2 ** (63 - bits), and
+        # key < nodes x LM states x labels, under 2 ** 29 for 7512 x 2003 x 30
         key = (c_node * len(states) + c_state) * begin + c_label
-        order = np.lexsort((arrival, key))
-        head = np.flatnonzero(np.r_[True, key[order[1:]] != key[order[:-1]]])
+        bits = key.size.bit_length()
+        packed = np.sort(key << bits | np.arange(key.size))
+        order, key = packed & ((1 << bits) - 1), packed >> bits
+        head = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         size = np.diff(np.r_[head, order.size])
         win = order[head]
+        # the keys in first-arrival order: mark each key at its first member
+        group = np.full(order.size, -1)
+        group[win] = np.arange(head.size)
+        rank = group[group >= 0]
+        # fold each key's candidates in arrival order, one member per round
         win_acoustic, win_total = c_acoustic[win], c_total[win]
         for k in range(1, size.max()):
             g = np.flatnonzero(size > k)
@@ -266,8 +251,6 @@ def decode(
                 win_acoustic[g] = np.logaddexp(win_acoustic[g], c_acoustic[m])
                 h = win[g]
                 win_total[g] = totals(win_acoustic[g], c_lm10[h], smeared[c_node[h]], c_words[h])
-        # prune on the keys in first-arrival order
-        rank = np.argsort(arrival[order[head]])
         kept = prune(win_total[rank], c_node[win[rank]] == 0, cfg)
         h = win[rank[kept]]
         node, state, last, lm10, num_words = c_node[h], c_state[h], c_label[h], c_lm10[h], c_words[h]

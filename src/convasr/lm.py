@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .alphabet import Alphabet, encode_transcription
 
@@ -224,13 +227,9 @@ def sentence_logprob(lm: NGramLM, sentence) -> float:
     context, then the end-of-sentence token (when the model defines it).
     """
     words = sentence.split() if isinstance(sentence, str) else list(sentence)
-    state = lm.start_state()
-    total = 0.0
-    for w in words:
+    state, total = lm.start_state(), 0.0
+    for w in words + ([EOS] if EOS in lm.vocab else []):
         s, state = score_word(lm, state, w)
-        total += s
-    if EOS in lm.vocab:
-        s, _ = score_word(lm, state, EOS)
         total += s
     return total
 
@@ -252,6 +251,23 @@ class LexiconTrie:
     @property
     def num_words(self) -> int:
         return len(self.words)
+
+    @cached_property
+    def flat(self) -> tuple:
+        """The trie breadth first, children in grapheme order (node n's are
+        nodes first[n] to first[n+1] - 1; the root is node 0): first, labels
+        (-1 at the root), smeared scores (0.0 at the root), the word ids ending
+        at each node and their counts.  Built on first use; ``smear`` drops it."""
+        nodes, labels, first = [self.root], [-1], []
+        for node in nodes:  # grows as it goes: a breadth-first walk
+            first.append(len(nodes))
+            for gid, child in sorted(node.children.items()):
+                nodes.append(child)
+                labels.append(gid)
+        first.append(len(nodes))
+        smeared = np.array([0.0] + [node.smeared for node in nodes[1:]])
+        ends = [node.word_ids for node in nodes]
+        return np.array(first), np.array(labels), smeared, ends, np.array([len(e) for e in ends])
 
 
 def _insert(root: TrieNode, wid: int, word: str, spelling, alphabet: Alphabet) -> None:
@@ -314,6 +330,7 @@ def smear(trie: LexiconTrie, lm: NGramLM) -> LexiconTrie:
         return node.smeared
 
     visit(trie.root)
+    vars(trie).pop("flat", None)  # the cached flat form's scores are stale
     return trie
 
 
