@@ -46,7 +46,7 @@ alphabet = make_alphabet("abcd")
 lm = load_arpa(arpa_path)
 words = ["cab", "ad", "bad", "dab"]
 lexicon = smear(build_lexicon(words, alphabet), lm)
-print(f"lexicon: {words}; root smeared score = {lexicon.root.smeared} (best unigram)")
+print(f"lexicon: {words}; root smeared score = {lexicon.smeared[0]} (best unigram)")
 
 # 8 frames: c a b | | a d with a quiet tail
 L = len(alphabet)

@@ -5,7 +5,8 @@ bench.  Any long flag can be overridden through the environment with
 the CONVASR_ prefix (dashes become underscores, e.g. CONVASR_BEAM_SIZE).
 
 Exit codes: 0 success, 1 input/processing error, 2 usage error,
-3 decoding produced no hypothesis (beam/threshold pruned everything).
+3 decoding produced no hypothesis (beam/threshold pruned everything,
+or the lexicon is empty).
 """
 
 from __future__ import annotations
@@ -53,10 +54,11 @@ class _BadEnvValue:
 
 def _apply_env_overrides(parser: argparse.ArgumentParser) -> None:
     """Fill flag defaults from CONVASR_* environment variables."""
-    for action in parser._actions:
+    actions = list(parser._actions)
+    for action in actions:  # grows by each subcommand's actions
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
-                _apply_env_overrides(sub)
+                actions.extend(sub._actions)
             continue
         if not action.option_strings or action.dest == "help":
             continue

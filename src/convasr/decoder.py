@@ -10,9 +10,9 @@ word boundaries too), the weighted language model, and a per-word term:
 
     total = acoustic + alpha * ln P_lm(words) + beta * |words|
 
-The frontier is a set of parallel arrays over the trie's flat form, built
-once per lexicon.  Each frame builds every candidate in arrival order:
-per hypothesis its stay, its silence (at the root) and its advances in
+The frontier is a set of parallel arrays of trie node ids and search
+state.  Each frame builds every candidate in arrival order: per
+hypothesis its stay, its silence (at the root) and its advances in
 grapheme order, each advance followed by the word commits it completes.
 One sort of packed integers (key, then arrival index) gathers the
 candidates of each key (trie node, LM state, last label), and a mask
@@ -155,7 +155,8 @@ def decode(
     # transition row is the start score, so frame 0 expands like the rest
     begin = f.shape[1]
     trans = np.vstack([transitions.trans, transitions.start])
-    first, label, smeared, ends, num_ends = lexicon.flat
+    first, label, ends, num_ends = lexicon.first, lexicon.label, lexicon.ends, lexicon.num_ends
+    smeared = np.r_[0.0, lexicon.smeared[1:]]  # the root holds no partial word
     # LM states are interned to ints, in order of first use
     states = [lm.start_state()]
     state_ids = {states[0]: 0}

@@ -4,17 +4,16 @@ Scores stay in ARPA's log10 domain throughout this module; the decoder
 multiplies by ln(10) when mixing them with natural-log acoustic scores.
 Keeping the raw file values makes save/load round-trips bit-identical.
 
-The lexicon is a trie over repetition-encoded grapheme spellings.  Each
-node can be "smeared" with the best unigram score among the words below
-it, giving partial words an admissible language-model estimate during
-beam search.
+The lexicon is a trie over repetition-encoded grapheme spellings, held
+as flat arrays in breadth-first order.  Each node can be "smeared" with
+the best unigram score among the words below it, giving partial words an
+admissible language-model estimate during beam search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -234,52 +233,55 @@ def sentence_logprob(lm: NGramLM, sentence) -> float:
     return total
 
 
-@dataclass
-class TrieNode:
-    children: dict = field(default_factory=dict)  # grapheme id -> TrieNode
-    word_ids: list = field(default_factory=list)  # words whose spelling ends here
-    smeared: float = 0.0  # best unigram log10 score in this subtree
-
-
-@dataclass
+@dataclass(eq=False)
 class LexiconTrie:
-    root: TrieNode
+    """The spellings' trie as flat arrays: one node per distinct spelling
+    prefix, breadth first with children in grapheme order, the root (the
+    empty prefix) being node 0.  ``smeared`` is 0.0 until ``smear`` fills
+    it.  ``build_lexicon`` and ``load_lexicon`` check the entries."""
+
     words: list  # word id -> word string
     spellings: list  # word id -> list of grapheme ids
     alphabet: Alphabet
+    first: np.ndarray = field(init=False)  # node n's children: first[n] to first[n + 1] - 1
+    label: np.ndarray = field(init=False)  # node -> its grapheme, -1 at the root
+    ends: list = field(init=False)  # node -> ids of the words spelled to it
+    num_ends: np.ndarray = field(init=False)  # node -> len(ends[node])
+    smeared: np.ndarray = field(init=False)  # node -> best unigram log10 below it
+
+    def __post_init__(self):
+        # level by level, a level's nodes being its sorted (parent, grapheme) keys
+        keys, at = [(-1, -1)], [0] * len(self.spellings)  # each word's node so far
+        todo, depth = range(len(self.spellings)), 0
+        while todo := [w for w in todo if len(self.spellings[w]) > depth]:
+            level = sorted({(at[w], self.spellings[w][depth]) for w in todo})
+            ids = {key: len(keys) + i for i, key in enumerate(level)}
+            for w in todo:
+                at[w] = ids[at[w], self.spellings[w][depth]]
+            keys += level
+            depth += 1
+        parent, self.label = np.array(list(zip(*keys)))
+        # parents ascend: node n's children follow every node whose parent is below n
+        self.first = np.searchsorted(parent[1:], np.arange(len(keys) + 1)) + 1
+        self.ends = [[] for _ in keys]
+        for wid, node in enumerate(at):
+            self.ends[node].append(wid)
+        self.num_ends = np.array([len(e) for e in self.ends])
+        self.smeared = np.zeros(len(keys))
 
     @property
     def num_words(self) -> int:
         return len(self.words)
 
-    @cached_property
-    def flat(self) -> tuple:
-        """The trie breadth first, children in grapheme order (node n's are
-        nodes first[n] to first[n+1] - 1; the root is node 0): first, labels
-        (-1 at the root), smeared scores (0.0 at the root), the word ids ending
-        at each node and their counts.  Built on first use; ``smear`` drops it."""
-        nodes, labels, first = [self.root], [-1], []
-        for node in nodes:  # grows as it goes: a breadth-first walk
-            first.append(len(nodes))
-            for gid, child in sorted(node.children.items()):
-                nodes.append(child)
-                labels.append(gid)
-        first.append(len(nodes))
-        smeared = np.array([0.0] + [node.smeared for node in nodes[1:]])
-        ends = [node.word_ids for node in nodes]
-        return np.array(first), np.array(labels), smeared, ends, np.array([len(e) for e in ends])
 
-
-def _insert(root: TrieNode, wid: int, word: str, spelling, alphabet: Alphabet) -> None:
-    """Add one word's spelling below ``root``; an unusable spelling raises."""
+def _checked_spelling(word: str, spelling, alphabet: Alphabet) -> list:
+    """``spelling``, if ``word`` is one token and ``spelling`` can be
+    matched: nonempty, with no silence and no label twice in a row."""
+    if not word or any(ch.isspace() for ch in word):
+        raise LMError(f"lexicon word {word!r} is empty or contains whitespace")
     if not spelling:
         raise LMError(f"lexicon word {word!r} has an empty spelling")
-    node = root
-    prev = None
-    for gid in spelling:
-        gid = int(gid)
-        if gid < 0 or gid >= len(alphabet):
-            raise LMError(f"spelling of {word!r} has invalid grapheme id {gid}")
+    for prev, gid in zip([None, *spelling], spelling):
         if gid == alphabet.silence_id:
             raise LMError(f"spelling of {word!r} contains the silence symbol")
         if gid == prev:
@@ -289,13 +291,7 @@ def _insert(root: TrieNode, wid: int, word: str, spelling, alphabet: Alphabet) -
                 f"spelling of {word!r} repeats a label adjacently; "
                 "use the repetition labels instead"
             )
-        prev = gid
-        nxt = node.children.get(gid)
-        if nxt is None:
-            nxt = TrieNode()
-            node.children[gid] = nxt
-        node = nxt
-    node.word_ids.append(wid)
+    return spelling
 
 
 def build_lexicon(words, alphabet: Alphabet) -> LexiconTrie:
@@ -303,34 +299,25 @@ def build_lexicon(words, alphabet: Alphabet) -> LexiconTrie:
     under which several words can share one node, come from a lexicon
     file (``load_lexicon``)."""
     words = list(words)
-    spellings = []
-    for w in words:
-        if any(ch.isspace() for ch in w):
-            raise LMError(f"lexicon word {w!r} contains whitespace")
-        spellings.append(encode_transcription(w, alphabet))
-    root = TrieNode()
-    for wid, spelling in enumerate(spellings):
-        _insert(root, wid, words[wid], spelling, alphabet)
-    return LexiconTrie(root, words, spellings, alphabet)
+    spellings = [_checked_spelling(w, encode_transcription(w, alphabet), alphabet) for w in words]
+    return LexiconTrie(words, spellings, alphabet)
 
 
 def smear(trie: LexiconTrie, lm: NGramLM) -> LexiconTrie:
-    """Assign each node the best unigram log10 score in its subtree.
+    """Assign each node the best unigram log10 score among the words
+    spelled through it, the root the vocabulary's (-inf for no words).
 
     The best word below a node is an admissible estimate of the partial
     word's language-model score.  Every lexicon word must be in the LM
     vocabulary.  Mutates and returns the trie.
     """
-    word_scores = [score_word(lm, (), w)[0] for w in trie.words]
-
-    def visit(node: TrieNode) -> float:
-        scores = [word_scores[wid] for wid in node.word_ids]
-        scores += [visit(child) for child in node.children.values()]
-        node.smeared = max(scores)
-        return node.smeared
-
-    visit(trie.root)
-    vars(trie).pop("flat", None)  # the cached flat form's scores are stale
+    scores = [score_word(lm, (), w)[0] for w in trie.words]
+    best = [max([scores[w] for w in wids]) if wids else -math.inf for wids in trie.ends]
+    parent = np.repeat(np.arange(len(best)), np.diff(trie.first)).tolist()  # of nodes 1 on
+    # a child follows its parent: one sweep up from the last node fills the root
+    for node, up in reversed(list(enumerate(parent, 1))):
+        best[up] = max(best[up], best[node])
+    trie.smeared = np.array(best)
     return trie
 
 
@@ -344,7 +331,6 @@ def save_lexicon(trie: LexiconTrie, path) -> None:
 
 def load_lexicon(path, alphabet: Alphabet) -> LexiconTrie:
     """Read a ``save_lexicon`` file; malformed input raises with a line number."""
-    root = TrieNode()
     words, spellings = [], []
     for lineno, line in enumerate(_read_text(path, LMError).splitlines(), 1):
         if not line.strip():
@@ -358,9 +344,8 @@ def load_lexicon(path, alphabet: Alphabet) -> LexiconTrie:
                 raise LMError(f"line {lineno}: unknown grapheme {sym!r}")
             ids.append(alphabet.index[sym])
         try:
-            _insert(root, len(words), word, ids, alphabet)
+            spellings.append(_checked_spelling(word, ids, alphabet))
         except LMError as exc:
             raise LMError(f"line {lineno}: {exc}") from None
         words.append(word)
-        spellings.append(ids)
-    return LexiconTrie(root, words, spellings, alphabet)
+    return LexiconTrie(words, spellings, alphabet)

@@ -4,7 +4,8 @@ Everything here avoids the library's dynamic programs: paths are
 enumerated explicitly (recursively or as dense index arrays) and scored
 one by one, so a DP bug cannot hide in its own oracle.  The beam
 search's reference, ``reference_decode``, builds its hypotheses one
-object at a time where the decoder works on arrays.
+object at a time where the decoder works on arrays, over a trie of its
+own made from the lexicon's spellings.
 """
 
 import itertools
@@ -154,12 +155,23 @@ def levenshtein_full_matrix(ref, hyp):
     return int(d[n, m])
 
 
-def subtree_best_unigram(node, word_scores):
-    """Brute-force max unigram score over all words below a trie node."""
-    best = max((word_scores[w] for w in node.word_ids), default=-np.inf)
-    for child in node.children.values():
-        best = max(best, subtree_best_unigram(child, word_scores))
-    return best
+def prefix_best_unigram(spellings, prefix, word_scores):
+    """Brute-force max unigram score over the words whose spelling starts
+    with ``prefix`` (a tuple of grapheme ids)."""
+    return max(
+        (s for spelling, s in zip(spellings, word_scores) if tuple(spelling[: len(prefix)]) == prefix),
+        default=-np.inf,
+    )
+
+
+def node_prefixes(trie):
+    """The spelling prefix of each node of a ``LexiconTrie``, read off its
+    arrays: node c is a child of node n when first[n] <= c < first[n + 1]."""
+    prefixes = [()] + [None] * (trie.label.size - 1)
+    for n in range(trie.label.size):
+        for c in range(trie.first[n], trie.first[n + 1]):
+            prefixes[c] = prefixes[n] + (int(trie.label[c]),)
+    return prefixes
 
 
 def sort_based_prune(hypotheses, scores, beam_size, beam_threshold):
@@ -179,7 +191,7 @@ def relative_close(analytic, numeric, rtol=1e-5, atol=1e-7):
 class _Hypothesis:
     """One search hypothesis of ``reference_decode``."""
 
-    node: object  # trie node (the root between words)
+    node: tuple  # spelling prefix (the root, (), between words)
     lm_state: tuple
     last_label: int
     acoustic: float
@@ -195,10 +207,10 @@ def _reference_prune(frontier, cfg, root):
         return []
     cut = max(h.total for h in frontier) - cfg.beam_threshold
     kept = [h for h in frontier if h.total >= cut]
-    capped = sorted((-h.total, i) for i, h in enumerate(kept) if h.node is not root)
+    capped = sorted((-h.total, i) for i, h in enumerate(kept) if h.node != root)
     if len(capped) > cfg.beam_size:
         top = {i for _, i in capped[: cfg.beam_size]}
-        kept = [h for i, h in enumerate(kept) if h.node is root or i in top]
+        kept = [h for i, h in enumerate(kept) if h.node == root or i in top]
     return kept
 
 
@@ -207,25 +219,34 @@ def reference_decode(emissions, transitions, lm, lexicon, cfg, nbest=10):
     at a time: each frame, every hypothesis offers its stay, its silence
     and its advances (with the word commits they complete) to one table
     keyed on (trie node, LM state, last label), in that order, and the
-    table is pruned.  ``convasr.decoder.decode`` must return the same
-    n-best lists bit for bit, or raise the same ``DecodeError``."""
+    table is pruned.  Its trie is built here from ``lexicon.spellings``,
+    a node being a spelling prefix, and smeared with ``lm`` by brute force.
+    ``convasr.decoder.decode``, given the lexicon smeared with ``lm``,
+    must return the same n-best lists bit for bit, or raise the same
+    ``DecodeError``."""
     if nbest < 1:
         raise ValueError("nbest must be >= 1")
     f = _checked_scores(emissions, transitions, lexicon)
     sil = lexicon.alphabet.silence_id
-    root = lexicon.root
+    spellings = [tuple(s) for s in lexicon.spellings]
+    root = ()
+    nodes = {s[:k] for s in spellings for k in range(len(s) + 1)}
+    children = {p: sorted(q[-1] for q in nodes if q[:-1] == p and q != root) for p in nodes}
+    word_ids = {p: [w for w, s in enumerate(spellings) if s == p] for p in nodes}
+    unigram = [score_word(lm, (), w)[0] for w in lexicon.words]
+    smeared = {p: prefix_best_unigram(spellings, p, unigram) for p in nodes}
     begin = f.shape[1]  # virtual start label: its transition row is the start score
     trans = np.vstack([transitions.trans, transitions.start]).tolist()
     frontier = [_Hypothesis(root, lm.start_state(), begin, 0.0, 0.0, (), 0.0)]
     lm_weight = cfg.alpha * LN10
 
     def score(acoustic, lm10, node, words):
-        smear10 = 0.0 if node is root else node.smeared
+        smear10 = 0.0 if node == root else smeared[node]
         lm_term = lm_weight * (lm10 + smear10) if lm_weight else 0.0
         return acoustic + lm_term + cfg.beta * len(words)
 
     def admit(node, lm_state, label, acoustic, lm10, words):
-        key = (id(node), lm_state, label)
+        key = (node, lm_state, label)
         total = score(acoustic, lm10, node, words)
         old = merged.get(key)
         if old is None or total > old.total:
@@ -249,23 +270,23 @@ def reference_decode(emissions, transitions, lm, lexicon, cfg, nbest=10):
             last = hyp.last_label
             if last != begin:
                 extend(hyp, hyp.node, last)
-            at_root = hyp.node is root
+            at_root = hyp.node == root
             if at_root and cfg.silence != "none" and last != sil:
                 extend(hyp, root, sil)
             if at_root and cfg.silence == "mandatory" and last not in (sil, begin):
                 continue
-            for gid, child in sorted(hyp.node.children.items()):
+            for gid in children[hyp.node]:
                 if gid == last:
                     continue
-                acoustic = extend(hyp, child, gid)
-                for wid in child.word_ids:
+                acoustic = extend(hyp, hyp.node + (gid,), gid)
+                for wid in word_ids[hyp.node + (gid,)]:
                     s, state = score_word(lm, hyp.lm_state, lexicon.words[wid])
                     admit(root, state, gid, acoustic, hyp.lm10 + s, hyp.words + (wid,))
         frontier = _reference_prune(list(merged.values()), cfg, root)
 
     complete = {}
     for hyp in frontier:
-        if hyp.node is root:
+        if hyp.node == root:
             complete.setdefault(hyp.words, []).append(hyp)
     if not complete:
         raise DecodeError(

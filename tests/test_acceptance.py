@@ -315,13 +315,8 @@ def test_criterion_8_lm_correctness(tmp_path, hand_arpa):
             rlm = load_arpa(make_bigram_arpa(tmp_path / f"s{trial}.arpa", words, rng))
             trie = smear(build_lexicon(words, alphabet), rlm)
             scores = [score_word(rlm, (), w)[0] for w in words]
-
-            def visit(node):
-                assert node.smeared == oracles.subtree_best_unigram(node, scores)
-                for child in node.children.values():
-                    visit(child)
-
-            visit(trie.root)
+            for node, prefix in enumerate(oracles.node_prefixes(trie)):
+                assert trie.smeared[node] == oracles.prefix_best_unigram(trie.spellings, prefix, scores)
 
 
 BASE_WORDS = """the of and to in is you that it he was for on are as with his they at be

@@ -374,6 +374,30 @@ class TestDecodeCommand:
         assert code == 1 and out == "" and err.startswith("error:") and "nbest" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("source", ["arpa", "lexicon-file"])
+    def test_empty_lexicon_exit_code(self, tmp_path, capsys, source):
+        self.setup_fixture(tmp_path)
+        if source == "arpa":
+            # the sentence sentinels alone spell no word
+            args = ["--arpa", make_bigram_arpa(tmp_path / "sentinels.arpa", [], np.random.default_rng(0))]
+        else:
+            (tmp_path / "empty.txt").write_text("")
+            args = ["--arpa", tmp_path / "lm.arpa", "--lexicon", tmp_path / "empty.txt"]
+        code, out, err = run(
+            capsys, "decode", "--emissions", tmp_path / "e.bin", "--alphabet", tmp_path / "ab.txt", *args
+        )
+        assert code == 3 and out == "" and err == "error: empty lexicon\n"
+
+    def test_word_deeper_than_the_recursion_limit_decodes(self, tmp_path, capsys):
+        self.setup_fixture(tmp_path)
+        make_bigram_arpa(tmp_path / "deep.arpa", ["cab", "ad", "ab" * 600], np.random.default_rng(2))
+        code, out, err = run(
+            capsys, "decode", "--emissions", tmp_path / "e.bin", "--arpa", tmp_path / "deep.arpa",
+            "--alphabet", tmp_path / "ab.txt",
+        )
+        assert code == 0 and out.split("\t")[4].startswith("cab\n")
+        assert "Traceback" not in err
+
     def test_pruning_failure_exit_code(self, tmp_path, capsys):
         alphabet = self.setup_fixture(tmp_path)
         # all mass on silence and a 1-hypothesis beam: nothing completes

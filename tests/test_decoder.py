@@ -201,8 +201,8 @@ class TestDecodeBasics:
         assert [(r.words, r.score) for r in a] == [(r.words, r.score) for r in b]
 
     def test_resmear_refreshes_the_flat_trie(self, tmp_path, alphabet):
-        # decode flattens the trie once; smearing it again with another
-        # LM must not leave the first LM's smeared scores in that form
+        # decode reads the trie's smeared scores as they stand; smearing
+        # it again with another LM must replace all of the first LM's
         rng = np.random.default_rng(1)
         words = lexicon_with_a_letter(rng, 5, 7)
         lm = load_arpa(make_bigram_arpa(tmp_path / "lm.arpa", words, rng))

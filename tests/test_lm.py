@@ -191,9 +191,8 @@ class TestLexicon:
     def test_shared_prefix(self):
         ab = default_alphabet()
         trie = build_lexicon(["cat", "cab"], ab)
-        c = trie.root.children[ab.index["c"]]
-        a = c.children[ab.index["a"]]
-        assert set(a.children) == {ab.index["t"], ab.index["b"]}
+        ca = oracles.node_prefixes(trie).index((ab.index["c"], ab.index["a"]))
+        assert set(trie.label[trie.first[ca] : trie.first[ca + 1]]) == {ab.index["t"], ab.index["b"]}
 
     def test_repetition_encoded_spelling(self):
         ab = default_alphabet()
@@ -202,14 +201,14 @@ class TestLexicon:
 
     def test_empty_lexicon(self):
         trie = build_lexicon([], default_alphabet())
-        assert trie.num_words == 0 and not trie.root.children
+        assert trie.num_words == 0 and trie.first.tolist() == [1, 1]
 
     def test_shared_spelling_keeps_both_words(self, tmp_path):
         ab = default_alphabet()
         (tmp_path / "lex.txt").write_text("hi\th i\nhy\th i\n")
         trie = load_lexicon(tmp_path / "lex.txt", ab)
-        node = trie.root.children[ab.index["h"]].children[ab.index["i"]]
-        assert node.word_ids == [0, 1]
+        node = oracles.node_prefixes(trie).index((ab.index["h"], ab.index["i"]))
+        assert trie.ends[node] == [0, 1]
 
     def test_file_round_trip(self, tmp_path):
         ab = default_alphabet()
@@ -227,7 +226,7 @@ class TestLexicon:
             load_lexicon(tmp_path / "bad.txt", default_alphabet())
 
     def test_silence_in_spelling_rejected(self, tmp_path):
-        (tmp_path / "bad.txt").write_text("two words\tt w o | w\n")
+        (tmp_path / "bad.txt").write_text("two\tt w o | w\n")
         with pytest.raises(LMError, match="silence"):
             load_lexicon(tmp_path / "bad.txt", default_alphabet())
 
@@ -239,13 +238,27 @@ class TestLexicon:
 
     @pytest.mark.parametrize(
         "line, match",
-        [("bad\t", "empty spelling"), ("two words\tt w o | w", "silence"), ("aa\ta a", "repetition")],
-        ids=["empty", "silence", "adjacent-repeat"],
+        [
+            ("bad\t", "empty spelling"),
+            ("two\tt w o | w", "silence"),
+            ("aa\ta a", "repetition"),
+            ("\tc a t", "is empty"),
+            ("two words\tt w o w", "whitespace"),
+        ],
+        ids=["empty", "silence", "adjacent-repeat", "empty-word", "spaced-word"],
     )
     def test_spelling_error_names_its_line(self, tmp_path, line, match):
         (tmp_path / "bad.txt").write_text(f"cat\tc a t\n\n{line}\ndog\td o g\n")
         with pytest.raises(LMError, match=rf"^line 3: .*{match}"):
             load_lexicon(tmp_path / "bad.txt", default_alphabet())
+
+    @pytest.mark.parametrize(
+        "word, match", [("", "is empty"), ("two words", "whitespace")], ids=["empty", "spaced"]
+    )
+    def test_build_lexicon_rejects_the_words_load_lexicon_rejects(self, word, match):
+        # one word check serves both: the "empty-word" and "spaced-word" lines above
+        with pytest.raises(LMError, match=match):
+            build_lexicon(["cat", word], default_alphabet())
 
     def test_undecodable_byte_names_its_line(self, tmp_path):
         (tmp_path / "bad.txt").write_bytes(b"cat\tc a t\ndo\xc3g\td o g\n")
@@ -263,38 +276,38 @@ class TestSmearing:
     def test_single_word_path_carries_its_score(self, tmp_path):
         lm, trie = self.make(tmp_path, ["cat"])
         want = score_word(lm, (), "cat")[0]
-        node = trie.root
-        for gid in trie.spellings[0]:
-            node = node.children[gid]
-            assert node.smeared == want
+        prefixes = oracles.node_prefixes(trie)
+        for k in range(1, len(trie.spellings[0]) + 1):
+            assert trie.smeared[prefixes.index(tuple(trie.spellings[0][:k]))] == want
+
+    def test_deep_spelling_carries_its_score_to_every_node(self, tmp_path):
+        # 1200 graphemes: deeper than the interpreter's recursion limit
+        lm, trie = self.make(tmp_path, ["ab" * 600])
+        assert trie.label.size == 1201
+        assert trie.smeared.tolist() == [score_word(lm, (), "ab" * 600)[0]] * 1201
+
+    def test_empty_lexicon_smears_to_an_empty_root(self, tmp_path):
+        lm = load_arpa(make_bigram_arpa(tmp_path / "s.arpa", [], np.random.default_rng(0)))
+        assert smear(build_lexicon([], default_alphabet()), lm).smeared.tolist() == [-math.inf]
 
     def test_root_is_vocabulary_max(self, tmp_path):
         words = ["cat", "dog", "bird", "fish"]
         lm, trie = self.make(tmp_path, words)
-        assert trie.root.smeared == max(score_word(lm, (), w)[0] for w in words)
+        assert trie.smeared[0] == max(score_word(lm, (), w)[0] for w in words)
 
     def test_matches_bruteforce_subtree_max(self, tmp_path):
         words = ["cat", "cab", "ca", "dog", "do"]
         lm, trie = self.make(tmp_path, words, seed=3)
         scores = [score_word(lm, (), w)[0] for w in words]
-
-        def visit(node):
-            assert node.smeared == oracles.subtree_best_unigram(node, scores)
-            for child in node.children.values():
-                visit(child)
-
-        visit(trie.root)
+        for node, prefix in enumerate(oracles.node_prefixes(trie)):
+            assert trie.smeared[node] == oracles.prefix_best_unigram(trie.spellings, prefix, scores)
 
     def test_monotone_nonincreasing_down_the_trie(self, tmp_path):
         words = ["a", "ab", "abc", "abd", "b"]
         _, trie = self.make(tmp_path, words, seed=4)
-
-        def visit(node):
-            for child in node.children.values():
-                assert child.smeared <= node.smeared + 1e-12
-                visit(child)
-
-        visit(trie.root)
+        for node in range(trie.label.size):
+            for child in range(trie.first[node], trie.first[node + 1]):
+                assert trie.smeared[child] <= trie.smeared[node] + 1e-12
 
     def test_missing_word_rejected(self, tmp_path):
         rng = np.random.default_rng(6)

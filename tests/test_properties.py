@@ -26,11 +26,13 @@ from convasr.criterion import (
 from convasr.decoder import DecodeError, DecoderConfig, decode
 from convasr.lm import (
     LN10,
+    LexiconTrie,
     NGramLM,
     build_lexicon,
     load_arpa,
     load_lexicon,
     save_arpa,
+    score_word,
     sentence_logprob,
     smear,
 )
@@ -183,6 +185,40 @@ class TestArpaFiles:
         back = load_arpa(path)
         assert (back.order, back.vocab, back.words) == (lm.order, lm.vocab, lm.words)
         assert [_bits(t) for t in back.tables] == [_bits(t) for t in lm.tables]
+
+
+@st.composite
+def _smeared_lexicon(draw):
+    """Spellings over "abcd" with no silence and no label twice in a row,
+    some of them shared by several words, and a unigram LM over the words."""
+    alphabet = make_alphabet("abcd")
+    graphemes = [g for g in range(len(alphabet)) if g != alphabet.silence_id]
+    spelled = st.builds(lambda s: [graphemes[g] for g in s], _labels(len(graphemes), 6))
+    spellings = draw(st.lists(spelled, max_size=12))
+    if spellings:
+        spellings += draw(st.lists(st.sampled_from(spellings), max_size=4))  # homophones
+    words = [f"w{i}" for i in range(len(spellings))]
+    unigrams = {(i,): (draw(_PROB), 0.0) for i in range(len(words))}
+    lm = NGramLM(1, {w: i for i, w in enumerate(words)}, words, [{}, unigrams])
+    return smear(LexiconTrie(words, spellings, alphabet), lm), lm
+
+
+class TestLexiconTrie:
+    @_PROPS
+    @given(_smeared_lexicon())
+    def test_nodes_are_the_spelling_prefixes_breadth_first(self, instance):
+        trie, lm = instance
+        prefixes = oracles.node_prefixes(trie)
+        distinct = {()} | {tuple(s[:k]) for s in trie.spellings for k in range(len(s) + 1)}
+        # children in grapheme order make each level lexicographic
+        assert prefixes == sorted(distinct, key=lambda p: (len(p), p))
+        assert trie.first[0] == 1 and trie.first[-1] == len(prefixes)
+        assert (np.diff(trie.first) >= 0).all() and trie.label[0] == -1
+        ends = [[w for w, s in enumerate(trie.spellings) if tuple(s) == p] for p in prefixes]
+        assert trie.ends == ends and trie.num_ends.tolist() == [len(e) for e in ends]
+        scores = [score_word(lm, (), w)[0] for w in trie.words]
+        best = [oracles.prefix_best_unigram(trie.spellings, p, scores) for p in prefixes]
+        assert trie.smeared.tolist() == best
 
 
 _LETTERS = "abcd"
