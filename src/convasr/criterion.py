@@ -16,10 +16,10 @@ Frame limits need no per-frame bookkeeping: a state that no path can
 reach by frame t holds a -inf forward score there, and one that cannot
 reach an accepting state in the frames left holds a -inf backward score.
 
-One log-domain recursion serves the Forward score and Viterbi.  The
-Forward score reduces with log-sum-exp over the predecessor links,
-Viterbi with max (its backtrace recomputes each argmax from the stored
-table).
+One log-domain recursion serves the Forward score and Viterbi.  It
+reduces the run of links into each state with log-add-exp for the
+Forward score and with max for Viterbi (whose backtrace recomputes each
+argmax from the stored table).
 
 The posteriors run on probabilities instead: each frame's scores are
 shifted by their maximum, exponentiated and renormalized (Rabiner's
@@ -27,8 +27,8 @@ scaled forward-backward), so a frame costs one matmul on the fully
 connected lattice and a few shifted vector products on a chain.  The
 backward pass is the forward pass over reversed time.  Where float64
 cannot carry the scaled values, at large score spreads, the posteriors
-fall back to the log-domain recursion: successor links, reversed
-emissions, and the accepting states as its start.
+fall back to the log-domain recursion, whose backward pass reverses
+the lattice the same way.
 
 Scores accumulate as emission f[t, label] plus transition
 trans[prev_label, label] per step (a per-label start score replaces the
@@ -94,7 +94,7 @@ class EmissionTable:
             raise CriterionError("emission scores must be a (T, L) matrix")
         if not np.all(np.isfinite(self.scores)):
             raise CriterionError("emission scores must be finite")
-        if self.normalized and np.max(np.abs(_lse(self.scores, 1))) > 1e-5:
+        if self.normalized and np.any(np.abs(_lse(self.scores, 1)) > 1e-5):
             raise CriterionError("rows marked normalized do not logadd to 0")
 
 
@@ -138,27 +138,19 @@ class CriterionResult:
 class Lattice:
     """States and links shared by every one of ``num_frames`` frames.
 
-    State s carries label ``labels[s]``.  Column s of ``preds`` lists the
-    states that may precede s, ascending and padded with -1; ``succs``
-    mirrors it toward the next frame.  Paths start in a state flagged in
-    ``initial`` and end in one flagged in ``accepting``.
+    State s carries label ``labels[s]``; link i lets state ``src[i]``
+    precede ``dst[i]``.  Links are unique and sorted by (dst, src), and
+    every state has its stay link s -> s, so the links into each state
+    form one nonempty run.  Paths start in a state flagged in ``initial``
+    and end in one flagged in ``accepting``.
     """
 
     num_frames: int
     labels: np.ndarray  # (S,) int
-    preds: np.ndarray  # (P, S) int
-    succs: np.ndarray  # (Q, S) int
+    src: np.ndarray  # (K,) int
+    dst: np.ndarray  # (K,) int
     initial: np.ndarray  # (S,) bool
     accepting: np.ndarray  # (S,) bool
-
-
-def _link_matrix(lists: list[list[int]]) -> np.ndarray:
-    """(K, S) matrix whose column s lists ``lists[s]`` ascending, padded
-    with -1."""
-    out = np.full((max(len(x) for x in lists), len(lists)), -1, dtype=np.int64)
-    for s, x in enumerate(lists):
-        out[: len(x), s] = sorted(x)
-    return out
 
 
 def build_linear_graph(unit_labels, optional, num_frames: int) -> Lattice:
@@ -188,25 +180,19 @@ def build_linear_graph(unit_labels, optional, num_frames: int) -> Lattice:
             f"chain needs at least {min_frames} frames, got {num_frames}"
         )
 
-    unit_preds: list[list[int]] = []
+    # unit u is entered from every unit back to the nearest mandatory one
+    src, dst = [], []
+    first = 0
     for u in range(n_units):
-        preds = [u]
-        v = u - 1
-        while v >= 0:
-            preds.append(v)
-            if mandatory[v]:
-                break
-            v -= 1
-        unit_preds.append(preds)
-    unit_succs: list[list[int]] = [[] for _ in range(n_units)]
-    for u, preds in enumerate(unit_preds):
-        for p in preds:
-            unit_succs[p].append(u)
+        src += range(first, u + 1)
+        dst += [u] * (u + 1 - first)
+        if mandatory[u]:
+            first = u
     return Lattice(
         num_frames,
         np.asarray(unit_labels, dtype=np.int64),
-        _link_matrix(unit_preds),
-        _link_matrix(unit_succs),
+        np.asarray(src, dtype=np.int64),
+        np.asarray(dst, dtype=np.int64),
         initial=before[:-1] == 0,
         accepting=before[1:] == total_mandatory,
     )
@@ -229,9 +215,8 @@ def build_ctc_graph(labels, num_frames: int, blank_id: int) -> Lattice:
     try:
         return build_linear_graph(units, optional, num_frames)
     except InfeasibleError:
-        need = len(labels) + sum(
-            1 for i in range(len(labels) - 1) if labels[i] == labels[i + 1]
-        )
+        repeats = sum(1 for i in range(len(labels) - 1) if labels[i] == labels[i + 1])
+        need = max(len(labels) + repeats, 1)  # a chain fills at least one frame
         raise InfeasibleError(
             f"transcription of {len(labels)} labels needs at least {need} "
             f"frames with mandatory blanks, got {num_frames}"
@@ -256,9 +241,9 @@ def build_full_graph(num_labels: int, num_frames: int) -> Lattice:
     if num_labels < 1 or num_frames < 1:
         raise CriterionError("need at least one label and one frame")
     lab = np.arange(num_labels, dtype=np.int64)
-    dense = np.tile(lab[:, None], (1, num_labels))
     every = np.ones(num_labels, dtype=bool)
-    return Lattice(num_frames, lab, dense, dense, every, every)
+    src, dst = np.tile(lab, num_labels), np.repeat(lab, num_labels)
+    return Lattice(num_frames, lab, src, dst, every, every)
 
 
 def _as_scores(emissions) -> np.ndarray:
@@ -268,9 +253,9 @@ def _as_scores(emissions) -> np.ndarray:
 
 
 def _state_scores(graph: Lattice, emissions, tr: TransitionTable):
-    """Checked per-state tables every pass uses: emission (T, S), link
-    score trans[labels[preds], labels] (P, S), and start score (S,),
-    -inf outside the initial states."""
+    """Checked tables every pass uses: emission (T, S), link score
+    trans[labels[src], labels[dst]] (K,), and start score (S,), -inf
+    outside the initial states."""
     f = _as_scores(emissions)
     if f.shape[0] != graph.num_frames:
         raise CriterionError(
@@ -284,18 +269,18 @@ def _state_scores(graph: Lattice, emissions, tr: TransitionTable):
         raise CriterionError("graph refers to labels outside the emission table")
     lab = graph.labels
     start = np.where(graph.initial, tr.start[lab], NEG_INF)
-    return f[:, lab], tr.trans[lab[graph.preds], lab], start
+    return f[:, lab], tr.trans[lab[graph.src], lab[graph.dst]], start
 
 
-def _forward(links, emit, edge, start, reduce) -> np.ndarray:
-    """Table (T, S + 1) of ``reduce`` over paths along ``links`` (a (K, S)
-    link matrix, ``edge`` its (K, S) scores); the extra column stays -inf
-    so that a -1 link padding gathers a -inf score."""
+def _forward(graph: Lattice, emit, edge, start, ufunc) -> np.ndarray:
+    """Table (T, S) of ``ufunc`` (np.maximum or np.logaddexp) reduced over
+    the paths into each state, along links scored ``edge``."""
     T, S = emit.shape
-    alpha = np.full((T, S + 1), NEG_INF)
-    alpha[0, :S] = start + emit[0]
+    runs = np.searchsorted(graph.dst, np.arange(S))  # each state's first link
+    alpha = np.empty((T, S))
+    alpha[0] = start + emit[0]
     for t in range(1, T):
-        alpha[t, :S] = emit[t] + reduce(alpha[t - 1, links] + edge, axis=0)
+        alpha[t] = emit[t] + ufunc.reduceat(alpha[t - 1, graph.src] + edge, runs)
     return alpha
 
 
@@ -311,8 +296,8 @@ def forward_score(
     if mode not in ("logadd", "max"):
         raise CriterionError(f"unknown mode {mode!r}")
     emit, edge, start = _state_scores(graph, emissions, transitions)
-    reduce = _lse if mode == "logadd" else np.maximum.reduce
-    alpha = _forward(graph.preds, emit, edge, start, reduce)[:, :-1]
+    ufunc = np.logaddexp if mode == "logadd" else np.maximum
+    alpha = _forward(graph, emit, edge, start, ufunc)
     final = alpha[-1, graph.accepting]
     score = logadd(final) if mode == "logadd" else float(np.max(final))
     return score, alpha
@@ -325,15 +310,16 @@ def viterbi(graph: Lattice, emissions, transitions: TransitionTable):
     and among accepting states.
     """
     emit, edge, start = _state_scores(graph, emissions, transitions)
-    preds = graph.preds
-    alpha = _forward(preds, emit, edge, start, np.maximum.reduce)
-    final = np.where(graph.accepting, alpha[-1, :-1], NEG_INF)
+    alpha = _forward(graph, emit, edge, start, np.maximum)
+    runs = np.searchsorted(graph.dst, np.arange(graph.labels.size + 1))
+    final = np.where(graph.accepting, alpha[-1], NEG_INF)
     s = int(np.argmax(final))
     score = float(final[s])
     states = [s]
     for t in range(emit.shape[0] - 1, 0, -1):
-        # preds is ascending, so the first maximum is the lowest state
-        s = int(preds[np.argmax(alpha[t - 1, preds[:, s]] + edge[:, s]), s])
+        # sources ascend within a run: the first maximum is the lowest state
+        lo, hi = runs[s], runs[s + 1]
+        s = int(graph.src[lo + np.argmax(alpha[t - 1, graph.src[lo:hi]] + edge[lo:hi])])
         states.append(s)
     states.reverse()
     return [int(x) for x in graph.labels[states]], score
@@ -346,10 +332,10 @@ class _FBResult:
     trans_marginals: np.ndarray | None  # (L, L)
 
 
-def _scaled_forward_backward(graph: Lattice, f, src, dst, score, start, links: bool):
+def _scaled_forward_backward(graph: Lattice, f, score, start, links: bool):
     """Forward score, state posteriors (T, S) and, when ``links``, the
-    posterior mass of every link (src[i] -> dst[i], log weight score[i])
-    summed over frames, computed on probabilities instead of logs.  None
+    posterior mass of every link (log weight score[i]) summed over
+    frames, computed on probabilities instead of logs.  None
     when float64 cannot carry the result to full precision.
 
     Every factor is shifted by its maximum, exp(f[t] - max f[t]),
@@ -372,9 +358,9 @@ def _scaled_forward_backward(graph: Lattice, f, src, dst, score, start, links: b
     link mass finite.
     """
     T, S = graph.num_frames, graph.labels.size
-    lab, initial = graph.labels, graph.initial
+    lab, initial, src, dst = graph.labels, graph.initial, graph.src, graph.dst
     top = f.max(axis=1)
-    score_max = score.max() if score.size else 0.0
+    score_max = score.max()
     start_max = start[initial].max()
     shifted = f - top[:, None]
     lowest = min(
@@ -470,23 +456,28 @@ def _scaled_forward_backward(graph: Lattice, f, src, dst, score, start, links: b
     return log_z, gamma, mass
 
 
-def _log_forward_backward(graph: Lattice, emit, edge, succ_edge, start, links: bool):
+def _log_forward_backward(graph: Lattice, emit, edge, start, links: bool):
     """The log-domain counterpart of ``_scaled_forward_backward``, exact
-    at every score scale; ``mass`` comes back (P, S), aligned with
-    ``graph.preds``."""
+    at every score scale."""
     T, S = emit.shape
-    alpha = _forward(graph.preds, emit, edge, start, _lse)
-    log_z = logadd(alpha[-1, :S][graph.accepting])
+    alpha = _forward(graph, emit, edge, start, np.logaddexp)
+    log_z = logadd(alpha[-1, graph.accepting])
     if not np.isfinite(log_z):
         raise CriterionError("no accepted path has finite score")
     # emission plus backward score: the forward pass over reversed time
-    end = np.where(graph.accepting, 0.0, NEG_INF)
-    ahead = _forward(graph.succs, emit[::-1], succ_edge, end, _lse)[::-1]
-    gamma = np.exp(alpha[:, :S] + ahead[:, :S] - emit - log_z)
+    # on the reversed lattice, where link p -> s becomes S-1-s -> S-1-p
+    back_src, back_dst = S - 1 - graph.dst, S - 1 - graph.src
+    order = np.lexsort((back_src, back_dst))
+    back = Lattice(
+        T, graph.labels[::-1], back_src[order], back_dst[order],
+        graph.accepting[::-1], graph.initial[::-1],
+    )
+    end = np.where(back.initial, 0.0, NEG_INF)
+    ahead = _forward(back, emit[::-1, ::-1], edge[order], end, np.logaddexp)[::-1, ::-1]
+    gamma = np.exp(alpha + ahead - emit - log_z)
     if not links:
         return log_z, gamma, None
-    # a -1 padding gathers the -inf column, so its mass is exactly 0
-    mass = np.exp(alpha[:-1, graph.preds] + edge + ahead[1:, None, :S] - log_z).sum(axis=0)
+    mass = np.exp(alpha[:-1, graph.src] + edge + ahead[1:, graph.dst] - log_z).sum(axis=0)
     return log_z, gamma, mass
 
 
@@ -496,26 +487,22 @@ def forward_backward(graph: Lattice, emissions, transitions: TransitionTable | N
     starts score 0 and the transition marginals are None.
 
     Runs on scaled probabilities, and in the log domain whenever those
-    cannot reach full precision (see ``_scaled_forward_backward``)."""
+    cannot reach full precision (see ``_scaled_forward_backward``).  Each
+    link's posterior mass adds to the marginal of its label pair."""
     f = _as_scores(emissions)
     num_labels = f.shape[1]
     tr = TransitionTable.zeros(num_labels) if transitions is None else transitions
     emit, edge, start = _state_scores(graph, f, tr)
-    lab = graph.labels
-    row, dst = np.nonzero(graph.preds >= 0)
-    src = graph.preds[row, dst]
     links = transitions is not None
-    fb = _scaled_forward_backward(graph, f, src, dst, edge[row, dst], start, links)
+    fb = _scaled_forward_backward(graph, f, edge, start, links)
     if fb is None:
-        succ_edge = tr.trans[lab, lab[graph.succs]]
-        log_z, gamma, mass = _log_forward_backward(graph, emit, edge, succ_edge, start, links)
-        mass = None if mass is None else mass[row, dst]
-    else:
-        log_z, gamma, mass = fb
+        fb = _log_forward_backward(graph, emit, edge, start, links)
+    log_z, gamma, mass = fb
+    lab = graph.labels
     label_marg = gamma @ (lab[:, None] == np.arange(num_labels)).astype(np.float64)
     if mass is None:
         return _FBResult(log_z, label_marg, None)
-    pair = lab[src] * num_labels + lab[dst]
+    pair = lab[graph.src] * num_labels + lab[graph.dst]
     trans_marg = np.bincount(pair, mass, num_labels * num_labels)
     return _FBResult(log_z, label_marg, trans_marg.reshape(num_labels, num_labels))
 

@@ -38,8 +38,8 @@ def logadd_ref(values):
 
 def enumerate_graph_paths(graph):
     """All frame labelings accepted by a Lattice: every walk of
-    ``num_frames`` states along successor links from an initial state to
-    an accepting one."""
+    ``num_frames`` states along its links from an initial state to an
+    accepting one."""
     paths = []
 
     def extend(state, acc):
@@ -48,9 +48,8 @@ def enumerate_graph_paths(graph):
             if graph.accepting[state]:
                 paths.append(acc)
             return
-        for q in graph.succs[:, state]:
-            if q >= 0:
-                extend(int(q), acc)
+        for q in graph.dst[graph.src == state]:
+            extend(int(q), acc)
 
     for s in np.flatnonzero(graph.initial):
         extend(int(s), [])
@@ -73,6 +72,19 @@ def enumerate_asg_paths(labels, num_frames):
         for i in range(n):
             path.extend([labels[i]] * (bounds[i + 1] - bounds[i]))
         paths.append(path)
+    return paths
+
+
+def enumerate_chain_paths(units, optional, num_frames):
+    """Frame labelings of a chain, from its definition alone: keep every
+    mandatory unit and any subset of the optional ones, then give each
+    kept unit one or more consecutive frames, in order.  Each (kept set,
+    durations) pair is one walk of the chain's lattice, so a labeling
+    that two walks spell appears twice."""
+    paths = []
+    for keep in itertools.product(*[(True, False) if o else (True,) for o in optional]):
+        kept = [u for u, k in zip(units, keep) if k]
+        paths += enumerate_asg_paths(kept, num_frames)
     return paths
 
 

@@ -158,6 +158,21 @@ class TestLossCommand:
         assert code == 1 and err.startswith("error:") and "outside the emission table" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("transcription, flags, need", [("ab", ["--strict"], 2), ("", [], 1)])
+    def test_zero_frames_get_the_chain_message(self, tmp_path, capsys, transcription, flags, need):
+        # a 0-row file reaches the chain builder's message, and a chain
+        # fills at least one frame even with no labels
+        fileio.write_matrix(tmp_path / "e.bin", np.zeros((0, 30), dtype=np.float32))
+        code, _, err = run(
+            capsys, "loss", "--emissions", tmp_path / "e.bin", "--transcription", transcription,
+            "--criterion", "ctc", *flags,
+        )
+        assert code == 1
+        assert err == (
+            f"error: transcription of {len(transcription)} labels needs at least "
+            f"{need} frames with mandatory blanks, got 0\n"
+        )
+
     def test_infeasible_is_error_exit(self, tmp_path, capsys):
         fileio.write_matrix(tmp_path / "e.bin", np.zeros((1, 30), dtype=np.float32))
         code, _, err = run(

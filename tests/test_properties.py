@@ -13,15 +13,18 @@ from hypothesis.extra.numpy import arrays
 
 from convasr.alphabet import decode_labels, default_alphabet, encode_transcription, make_alphabet
 from convasr.criterion import (
+    InfeasibleError,
     TransitionTable,
     asg_loss,
     build_asg_graph,
     build_ctc_graph,
     build_full_graph,
+    build_linear_graph,
     ctc_loss,
     forward_backward,
     forward_score,
     log_softmax,
+    viterbi,
 )
 from convasr.decoder import DecodeError, DecoderConfig, decode
 from convasr.lm import (
@@ -139,6 +142,45 @@ class TestKernelsAgainstOracles:
             g = log_softmax(f)
             want = oracles.ctc_loss_bruteforce(g, letters, blank)
             assert abs(ctc_loss(g, letters, blank).loss - want) <= 1e-10 * scale
+
+
+@st.composite
+def _chain_instance(draw):
+    """Up to 6 units over 3 labels, repeats allowed, each optional or not,
+    over up to 6 frames."""
+    n = draw(st.integers(0, 6))
+    units = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    optional = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    unit = st.floats(-3.0, 3.0)
+    f = draw(arrays(np.float64, (draw(st.integers(0, 6)), 3), elements=unit))
+    tr = TransitionTable(
+        draw(arrays(np.float64, (3, 3), elements=unit)),
+        draw(arrays(np.float64, 3, elements=unit)),
+    )
+    return units, optional, f, tr
+
+
+class TestChainLattice:
+    @_PROPS
+    @given(_chain_instance())
+    def test_walks_and_scores_match_the_chain_definition(self, instance):
+        units, optional, f, tr = instance
+        want = oracles.enumerate_chain_paths(units, optional, f.shape[0])
+        try:
+            graph = build_linear_graph(units, optional, f.shape[0])
+        except InfeasibleError:
+            assert want == []
+            return
+        assert sorted(oracles.enumerate_graph_paths(graph)) == sorted(want)
+        scores = [oracles.path_score(p, f, tr.trans, tr.start) for p in want]
+        la, _ = forward_score(graph, f, tr, "logadd")
+        mx, _ = forward_score(graph, f, tr, "max")
+        assert abs(la - oracles.logadd_ref(scores)) <= 1e-9
+        assert abs(mx - max(scores)) <= 1e-9
+        path, score = viterbi(graph, f, tr)
+        assert path in want and score == mx
+        assert abs(oracles.path_score(path, f, tr.trans, tr.start) - mx) <= 1e-9
+        assert abs(forward_backward(graph, f, tr).log_z - la) <= 1e-9
 
 
 class TestTranscriptionCoding:

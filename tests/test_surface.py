@@ -1,13 +1,14 @@
 """Pins the public surface: the package exports, the CLI subcommands and
-the long flags of each, and the fields of the lexicon trie.  A change
-that drops or renames any of them has to change this file too, on
-purpose."""
+the long flags of each, and the fields of the lexicon trie and of the
+lattice every graph builder returns.  A change that drops or renames any
+of them has to change this file too, on purpose."""
 
 import argparse
 import dataclasses
 
 import convasr
 from convasr.cli import build_parser
+from convasr.criterion import Lattice
 from convasr.lm import LexiconTrie
 
 PUBLIC_NAMES = [
@@ -104,6 +105,11 @@ def test_public_names():
 def test_lexicon_trie_fields():
     got = [f.name for f in dataclasses.fields(LexiconTrie)]
     assert got == ["words", "spellings", "alphabet", "first", "label", "ends", "num_ends", "smeared"]
+
+
+def test_lattice_fields():
+    got = [f.name for f in dataclasses.fields(Lattice)]
+    assert got == ["num_frames", "labels", "src", "dst", "initial", "accepting"]
 
 
 def test_cli_subcommands_and_long_flags():
