@@ -5,17 +5,31 @@ enumerated explicitly (recursively or as dense index arrays) and scored
 one by one, so a DP bug cannot hide in its own oracle.  The beam
 search's reference, ``reference_decode``, builds its hypotheses one
 object at a time where the decoder works on arrays, over a trie of its
-own made from the lexicon's spellings.
+own made from the lexicon's spellings.  ``reference_load_arpa`` and
+``reference_load_lexicon`` are the loaders that read a whole file into
+memory and split it into lines; the streaming loaders must build the
+same models or raise the same messages.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from convasr.alphabet import Alphabet
 from convasr.criterion import logadd
 from convasr.decoder import DecodeError, DecodeResult, _checked_scores
-from convasr.lm import EOS, LN10, score_word
+from convasr.lm import (
+    EOS,
+    LN10,
+    ArpaParseError,
+    LexiconTrie,
+    LMError,
+    NGramLM,
+    _checked_spelling,
+    score_word,
+)
 
 
 def path_score(path, f, trans, start):
@@ -316,3 +330,150 @@ def reference_decode(emissions, transitions, lm, lexicon, cfg, nbest=10):
         results.append(DecodeResult([lexicon.words[w] for w in words], total, acoustic, LN10 * lm10))
     results.sort(key=lambda r: -r.score)
     return results[:nbest]
+
+
+def _reference_read_text(path, error: type) -> str:
+    """The file decoded as UTF-8; an undecodable byte raises ``error``
+    naming its line (counted as ``str.splitlines`` counts)."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line breaks before the bad byte, plus one
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise error(f"line {line}: byte {data[exc.start]:#04x} is not valid UTF-8") from None
+
+
+def reference_load_arpa(path) -> NGramLM:
+    """Parse an ARPA model; malformed input raises with a line number."""
+    lines = _reference_read_text(path, ArpaParseError).splitlines()
+
+    def fail(lineno, msg):
+        raise ArpaParseError(f"line {lineno}: {msg}")
+
+    counts: dict[int, int] = {}
+    i = 0
+    n_lines = len(lines)
+    while i < n_lines and lines[i].strip() != "\\data\\":
+        if lines[i].strip():
+            fail(i + 1, f"expected \\data\\ header, got {lines[i].strip()!r}")
+        i += 1
+    if i == n_lines:
+        fail(n_lines, "missing \\data\\ header")
+    i += 1
+    while i < n_lines:
+        line = lines[i].strip()
+        if not line:
+            i += 1
+            continue
+        if line.startswith("\\"):
+            break
+        if not line.startswith("ngram "):
+            fail(i + 1, f"expected 'ngram N=count', got {line!r}")
+        try:
+            order_part, count_part = line[len("ngram ") :].split("=")
+            order, count = int(order_part), int(count_part)
+        except ValueError:
+            fail(i + 1, f"cannot parse count line {line!r}")
+        if order < 1 or count < 0:
+            fail(i + 1, f"invalid ngram count {line!r}")
+        if order in counts:
+            fail(i + 1, f"duplicate count for order {order}")
+        counts[order] = count
+        i += 1
+    if not counts:
+        fail(i, "no ngram counts declared")
+    max_order = max(counts)
+    if sorted(counts) != list(range(1, max_order + 1)):
+        fail(i, f"non-contiguous ngram orders {sorted(counts)}")
+
+    vocab: dict[str, int] = {}
+    words: list[str] = []
+    tables: list[dict] = [dict() for _ in range(max_order + 1)]
+    seen_sections: set[int] = set()
+    order = None
+    while i < n_lines:
+        line = lines[i].strip()
+        if not line:
+            i += 1
+            continue
+        if line == "\\end\\":
+            for n in range(1, max_order + 1):
+                if n not in seen_sections:
+                    fail(i + 1, f"missing \\{n}-grams: section")
+                if len(tables[n]) != counts[n]:
+                    fail(
+                        i + 1,
+                        f"{n}-gram section has {len(tables[n])} entries, "
+                        f"header declared {counts[n]}",
+                    )
+            return NGramLM(max_order, vocab, words, tables)
+        if line.startswith("\\") and line.endswith("-grams:"):
+            try:
+                order = int(line[1 : -len("-grams:")])
+            except ValueError:
+                fail(i + 1, f"bad section header {line!r}")
+            if order not in counts:
+                fail(i + 1, f"section \\{order}-grams: not declared in \\data\\")
+            if order in seen_sections:
+                fail(i + 1, f"duplicate \\{order}-grams: section")
+            seen_sections.add(order)
+            i += 1
+            continue
+        if order is None:
+            fail(i + 1, f"entry before any section: {line!r}")
+        parts = line.split()
+        has_backoff = len(parts) == order + 2
+        if not has_backoff and len(parts) != order + 1:
+            fail(i + 1, f"expected {order + 1} or {order + 2} fields, got {len(parts)}")
+        if has_backoff and order == max_order:
+            fail(i + 1, "backoff weight on highest-order entry")
+        try:
+            prob = float(parts[0])
+            backoff = float(parts[-1]) if has_backoff else 0.0
+        except ValueError:
+            fail(i + 1, f"bad float in entry {line!r}")
+        if not prob <= 0.0:
+            fail(i + 1, f"positive or NaN log10 probability {prob}")
+        if not backoff < math.inf:
+            fail(i + 1, f"infinite or NaN log10 backoff {backoff}")
+        gram_words = parts[1 : order + 1]
+        ids = []
+        for w in gram_words:
+            if order == 1:
+                if w in vocab:
+                    fail(i + 1, f"duplicate unigram {w!r}")
+                vocab[w] = len(words)
+                words.append(w)
+            elif w not in vocab:
+                fail(i + 1, f"word {w!r} not in unigram vocabulary")
+            ids.append(vocab[w])
+        key = tuple(ids)
+        if key in tables[order]:
+            fail(i + 1, f"duplicate {order}-gram {' '.join(gram_words)!r}")
+        tables[order][key] = (prob, backoff)
+        i += 1
+    fail(n_lines, "missing \\end\\ marker")
+
+
+def reference_load_lexicon(path, alphabet: Alphabet) -> LexiconTrie:
+    """Read a ``save_lexicon`` file; malformed input raises with a line number."""
+    words, spellings = [], []
+    for lineno, line in enumerate(_reference_read_text(path, LMError).splitlines(), 1):
+        if not line.strip():
+            continue
+        if "\t" not in line:
+            raise LMError(f"line {lineno}: expected 'word<TAB>spelling'")
+        word, spelling = line.split("\t", 1)
+        ids = []
+        for sym in spelling.split():
+            if sym not in alphabet.index:
+                raise LMError(f"line {lineno}: unknown grapheme {sym!r}")
+            ids.append(alphabet.index[sym])
+        try:
+            spellings.append(_checked_spelling(word, ids, alphabet))
+        except LMError as exc:
+            raise LMError(f"line {lineno}: {exc}") from None
+        words.append(word)
+    return LexiconTrie(words, spellings, alphabet)
