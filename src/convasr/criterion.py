@@ -92,6 +92,8 @@ class EmissionTable:
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.scores.ndim != 2:
             raise CriterionError("emission scores must be a (T, L) matrix")
+        if self.scores.shape[1] == 0:
+            raise CriterionError("emission scores need at least one label column")
         if not np.all(np.isfinite(self.scores)):
             raise CriterionError("emission scores must be finite")
         if self.normalized and np.any(np.abs(_lse(self.scores, 1)) > 1e-5):

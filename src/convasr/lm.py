@@ -3,6 +3,8 @@
 Scores stay in ARPA's log10 domain throughout this module; the decoder
 multiplies by ln(10) when mixing them with natural-log acoustic scores.
 Keeping the raw file values makes save/load round-trips bit-identical.
+ARPA and lexicon files are read as a stream of lines, one chunk of the
+file at a time, so loading needs memory for the model plus one chunk.
 
 The lexicon is a trie over repetition-encoded grapheme spellings, held
 as flat arrays in breadth-first order.  Each node can be "smeared" with
@@ -12,6 +14,7 @@ admissible language-model estimate during beam search.
 
 from __future__ import annotations
 
+import codecs
 import math
 from dataclasses import dataclass, field
 
@@ -48,129 +51,164 @@ class NGramLM:
         return ()
 
 
-def _read_text(path, error: type) -> str:
-    """The file decoded as UTF-8; an undecodable byte raises ``error``
-    naming its line (counted as ``str.splitlines`` counts)."""
+_CHUNK = 1 << 16  # bytes per read: a loader holds one chunk of a file's text
+_BREAKS = "\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines breaks
+
+
+def _texts(f, error: type):
+    """Binary file ``f`` decoded as UTF-8, one piece per ``_CHUNK``-byte
+    read (a character cut by a chunk edge starts the next piece); an
+    undecodable byte raises ``error`` naming its line."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    while True:
+        start = f.tell() - len(decoder.getstate()[0])  # where the decoder's input begins
+        chunk = f.read(_CHUNK)
+        try:
+            text = decoder.decode(chunk, final=not chunk)
+        except UnicodeDecodeError as exc:
+            f.seek(0)
+            data = f.read(start + exc.start + 1)  # through the bad byte
+            # the line breaks before the bad byte, plus one
+            line = len((data[:-1].decode("utf-8") + "x").splitlines())
+            raise error(f"line {line}: byte {data[-1]:#04x} is not valid UTF-8") from None
+        yield text
+        if not chunk:
+            return
+
+
+def _lines(path, error: type):
+    """``(line number, line)`` for each line of the UTF-8 file at ``path``,
+    broken where ``str.splitlines`` breaks, one chunk in memory at a time.
+
+    A first pass only decodes, so an undecodable byte anywhere raises
+    ``error`` before a caller can fail on an earlier line."""
     with open(path, "rb") as f:
-        data = f.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the line breaks before the bad byte, plus one
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-        raise error(f"line {line}: byte {data[exc.start]:#04x} is not valid UTF-8") from None
+        for _ in _texts(f, error):
+            pass
+        f.seek(0)
+        lineno, rest = 0, ""  # rest: the line still open at the chunk edge
+        for text in _texts(f, error):
+            text = rest + text
+            lines = text.splitlines()
+            if text.endswith("\r"):  # its "\n" may start the next chunk
+                rest = lines.pop() + "\r"
+            elif text and text[-1] not in _BREAKS:
+                rest = lines.pop()
+            else:
+                rest = ""
+            yield from enumerate(lines, lineno + 1)
+            lineno += len(lines)
+        if rest:
+            yield lineno + 1, rest.rstrip("\r")
 
 
 def load_arpa(path) -> NGramLM:
-    """Parse an ARPA model; malformed input raises with a line number."""
-    lines = _read_text(path, ArpaParseError).splitlines()
+    """Parse an ARPA model in one pass over its lines: the \\data\\ header,
+    its counts, then the sections.  Malformed input raises with a line
+    number."""
 
     def fail(lineno, msg):
         raise ArpaParseError(f"line {lineno}: {msg}")
 
-    counts: dict[int, int] = {}
-    i = 0
-    n_lines = len(lines)
-    while i < n_lines and lines[i].strip() != "\\data\\":
-        if lines[i].strip():
-            fail(i + 1, f"expected \\data\\ header, got {lines[i].strip()!r}")
-        i += 1
-    if i == n_lines:
-        fail(n_lines, "missing \\data\\ header")
-    i += 1
-    while i < n_lines:
-        line = lines[i].strip()
-        if not line:
-            i += 1
-            continue
-        if line.startswith("\\"):
-            break
-        if not line.startswith("ngram "):
-            fail(i + 1, f"expected 'ngram N=count', got {line!r}")
-        try:
-            order_part, count_part = line[len("ngram ") :].split("=")
-            order, count = int(order_part), int(count_part)
-        except ValueError:
-            fail(i + 1, f"cannot parse count line {line!r}")
-        if order < 1 or count < 0:
-            fail(i + 1, f"invalid ngram count {line!r}")
-        if order in counts:
-            fail(i + 1, f"duplicate count for order {order}")
-        counts[order] = count
-        i += 1
-    if not counts:
-        fail(i, "no ngram counts declared")
-    max_order = max(counts)
-    if sorted(counts) != list(range(1, max_order + 1)):
-        fail(i, f"non-contiguous ngram orders {sorted(counts)}")
+    def declared_order(lineno):  # the counts, complete after line ``lineno``
+        if not counts:
+            fail(lineno, "no ngram counts declared")
+        if sorted(counts) != list(range(1, max(counts) + 1)):
+            fail(lineno, f"non-contiguous ngram orders {sorted(counts)}")
+        return max(counts)
 
+    # counts is None before \data\, tables before the first section
+    counts = tables = order = None
     vocab: dict[str, int] = {}
     words: list[str] = []
-    tables: list[dict] = [dict() for _ in range(max_order + 1)]
     seen_sections: set[int] = set()
-    order = None
-    while i < n_lines:
-        line = lines[i].strip()
+    lineno = 0
+    for lineno, line in _lines(path, ArpaParseError):
+        line = line.strip()
         if not line:
-            i += 1
             continue
-        if line == "\\end\\":
-            for n in range(1, max_order + 1):
-                if n not in seen_sections:
-                    fail(i + 1, f"missing \\{n}-grams: section")
-                if len(tables[n]) != counts[n]:
-                    fail(
-                        i + 1,
-                        f"{n}-gram section has {len(tables[n])} entries, "
-                        f"header declared {counts[n]}",
-                    )
-            return NGramLM(max_order, vocab, words, tables)
-        if line.startswith("\\") and line.endswith("-grams:"):
-            try:
-                order = int(line[1 : -len("-grams:")])
-            except ValueError:
-                fail(i + 1, f"bad section header {line!r}")
-            if order not in counts:
-                fail(i + 1, f"section \\{order}-grams: not declared in \\data\\")
-            if order in seen_sections:
-                fail(i + 1, f"duplicate \\{order}-grams: section")
-            seen_sections.add(order)
-            i += 1
-            continue
+        if tables is None:  # before the first section
+            if counts is None:
+                if line != "\\data\\":
+                    fail(lineno, f"expected \\data\\ header, got {line!r}")
+                counts = {}
+                continue
+            if line[0] != "\\":
+                if not line.startswith("ngram "):
+                    fail(lineno, f"expected 'ngram N=count', got {line!r}")
+                try:
+                    order_part, count_part = line[len("ngram ") :].split("=")
+                    n, count = int(order_part), int(count_part)
+                except ValueError:
+                    fail(lineno, f"cannot parse count line {line!r}")
+                if n < 1 or count < 0:
+                    fail(lineno, f"invalid ngram count {line!r}")
+                if n in counts:
+                    fail(lineno, f"duplicate count for order {n}")
+                counts[n] = count
+                continue
+            max_order = declared_order(lineno - 1)
+            tables = [dict() for _ in range(max_order + 1)]
+        if line[0] == "\\":
+            if line == "\\end\\":
+                for n in range(1, max_order + 1):
+                    if n not in seen_sections:
+                        fail(lineno, f"missing \\{n}-grams: section")
+                    if len(tables[n]) != counts[n]:
+                        fail(
+                            lineno,
+                            f"{n}-gram section has {len(tables[n])} entries, "
+                            f"header declared {counts[n]}",
+                        )
+                return NGramLM(max_order, vocab, words, tables)
+            if line.endswith("-grams:"):
+                try:
+                    order = int(line[1 : -len("-grams:")])
+                except ValueError:
+                    fail(lineno, f"bad section header {line!r}")
+                if order not in counts:
+                    fail(lineno, f"section \\{order}-grams: not declared in \\data\\")
+                if order in seen_sections:
+                    fail(lineno, f"duplicate \\{order}-grams: section")
+                seen_sections.add(order)
+                continue
         if order is None:
-            fail(i + 1, f"entry before any section: {line!r}")
+            fail(lineno, f"entry before any section: {line!r}")
         parts = line.split()
         has_backoff = len(parts) == order + 2
         if not has_backoff and len(parts) != order + 1:
-            fail(i + 1, f"expected {order + 1} or {order + 2} fields, got {len(parts)}")
+            fail(lineno, f"expected {order + 1} or {order + 2} fields, got {len(parts)}")
         if has_backoff and order == max_order:
-            fail(i + 1, "backoff weight on highest-order entry")
+            fail(lineno, "backoff weight on highest-order entry")
         try:
             prob = float(parts[0])
             backoff = float(parts[-1]) if has_backoff else 0.0
         except ValueError:
-            fail(i + 1, f"bad float in entry {line!r}")
+            fail(lineno, f"bad float in entry {line!r}")
         if not prob <= 0.0:
-            fail(i + 1, f"positive or NaN log10 probability {prob}")
+            fail(lineno, f"positive or NaN log10 probability {prob}")
         if not backoff < math.inf:
-            fail(i + 1, f"infinite or NaN log10 backoff {backoff}")
+            fail(lineno, f"infinite or NaN log10 backoff {backoff}")
         gram_words = parts[1 : order + 1]
         ids = []
         for w in gram_words:
             if order == 1:
                 if w in vocab:
-                    fail(i + 1, f"duplicate unigram {w!r}")
+                    fail(lineno, f"duplicate unigram {w!r}")
                 vocab[w] = len(words)
                 words.append(w)
             elif w not in vocab:
-                fail(i + 1, f"word {w!r} not in unigram vocabulary")
+                fail(lineno, f"word {w!r} not in unigram vocabulary")
             ids.append(vocab[w])
         key = tuple(ids)
         if key in tables[order]:
-            fail(i + 1, f"duplicate {order}-gram {' '.join(gram_words)!r}")
+            fail(lineno, f"duplicate {order}-gram {' '.join(gram_words)!r}")
         tables[order][key] = (prob, backoff)
-        i += 1
-    fail(n_lines, "missing \\end\\ marker")
+    if counts is None:
+        fail(lineno, "missing \\data\\ header")
+    if tables is None:
+        declared_order(lineno)
+    fail(lineno, "missing \\end\\ marker")
 
 
 def save_arpa(lm: NGramLM, path) -> None:
@@ -332,7 +370,7 @@ def save_lexicon(trie: LexiconTrie, path) -> None:
 def load_lexicon(path, alphabet: Alphabet) -> LexiconTrie:
     """Read a ``save_lexicon`` file; malformed input raises with a line number."""
     words, spellings = [], []
-    for lineno, line in enumerate(_read_text(path, LMError).splitlines(), 1):
+    for lineno, line in _lines(path, LMError):
         if not line.strip():
             continue
         if "\t" not in line:

@@ -173,6 +173,17 @@ class TestLossCommand:
             f"{need} frames with mandatory blanks, got 0\n"
         )
 
+    @pytest.mark.parametrize(
+        "flags", [["--criterion", "ctc", "--strict"], ["--criterion", "ctc"], ["--criterion", "asg"]]
+    )
+    def test_zero_label_columns_are_an_input_error(self, tmp_path, capsys, flags):
+        fileio.write_matrix(tmp_path / "e.bin", np.zeros((3, 0), dtype=np.float32))
+        code, out, err = run(
+            capsys, "loss", "--emissions", tmp_path / "e.bin", "--transcription", "a", *flags
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: emission scores need at least one label column\n"
+
     def test_infeasible_is_error_exit(self, tmp_path, capsys):
         fileio.write_matrix(tmp_path / "e.bin", np.zeros((1, 30), dtype=np.float32))
         code, _, err = run(

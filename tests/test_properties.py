@@ -1,8 +1,11 @@
 """Property-based checks of invariants the criteria, the transcription
-coding, the ARPA files and the decoder state for every input."""
+coding, the ARPA files, the loaders' line reader and the decoder state
+for every input."""
 
 import math
+import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from convasr import lm as lm_module
 from convasr.alphabet import decode_labels, default_alphabet, encode_transcription, make_alphabet
 from convasr.criterion import (
     InfeasibleError,
@@ -29,8 +33,11 @@ from convasr.criterion import (
 from convasr.decoder import DecodeError, DecoderConfig, decode
 from convasr.lm import (
     LN10,
+    ArpaParseError,
     LexiconTrie,
+    LMError,
     NGramLM,
+    _lines,
     build_lexicon,
     load_arpa,
     load_lexicon,
@@ -227,6 +234,55 @@ class TestArpaFiles:
         back = load_arpa(path)
         assert (back.order, back.vocab, back.words) == (lm.order, lm.vocab, lm.words)
         assert [_bits(t) for t in back.tables] == [_bits(t) for t in lm.tables]
+
+
+# every line break str.splitlines knows, "\r\n" and 1- to 4-byte characters
+_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(["\r\n", "\r", "\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                         "\u2028", "\u2029", "a", "\u00e9", "\u20ac", "\U0001f600"]),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=40,
+).map("".join)
+# an undecodable byte: a stray continuation, never-valid bytes, sequences
+# cut short, a surrogate
+_BAD = st.sampled_from([b"\x80", b"\xff", b"\xc0\xaf", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98", b"\xed\xa0\x80"])
+
+
+def _message(load, path):
+    with pytest.raises(LMError) as info:
+        load(path)
+    return type(info.value), str(info.value)
+
+
+class TestLineReader:
+    @_PROPS
+    @given(text=_TEXT)
+    def test_lines_break_where_splitlines_breaks(self, tmp_path, text):
+        path = tmp_path / "text"
+        path.write_bytes(text.encode())
+        for chunk in range(1, 9):
+            with mock.patch.object(lm_module, "_CHUNK", chunk):
+                assert list(_lines(path, LMError)) == list(enumerate(text.splitlines(), 1))
+
+    @_PROPS
+    @given(text=_TEXT, bad=_BAD, at=st.integers(0, 10**6))
+    def test_an_undecodable_byte_names_its_line_and_wins(self, tmp_path, text, bad, at):
+        # the bad bytes may split a character or a "\r\n"; the first
+        # line fails to parse in either format
+        data = text.encode()
+        at %= len(data) + 1
+        path = tmp_path / "text"
+        path.write_bytes(b"no header or tab\n" + data[:at] + bad + data[at:])
+        want = _message(lambda p: oracles._reference_read_text(p, LMError), path)
+        assert re.fullmatch(r"line \d+: byte 0x[0-9a-f]{2} is not valid UTF-8", want[1])
+        alphabet = default_alphabet()
+        for chunk in range(1, 9):
+            with mock.patch.object(lm_module, "_CHUNK", chunk):
+                assert _message(lambda p: list(_lines(p, LMError)), path) == want
+                assert _message(load_arpa, path) == (ArpaParseError, want[1])
+                assert _message(lambda p: load_lexicon(p, alphabet), path) == want
 
 
 @st.composite
