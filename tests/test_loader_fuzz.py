@@ -59,13 +59,13 @@ def _mutate(data: bytes, edits) -> bytes:
     return data
 
 
-def arpa_form(model) -> tuple:
+def _arpa_form(model) -> tuple:
     """Everything a loaded model holds, floats as hex, tables in order."""
     tables = [[(key, p.hex(), b.hex()) for key, (p, b) in t.items()] for t in model.tables]
     return model.order, list(model.vocab.items()), model.words, tables
 
 
-def lexicon_form(trie) -> tuple:
+def _lexicon_form(trie) -> tuple:
     return trie.words, trie.spellings
 
 
@@ -103,7 +103,7 @@ class TestLoaderFuzz:
     @given(edits=st.lists(_EDIT, min_size=1, max_size=4), chunk=_CHUNKS)
     def test_arpa(self, tmp_path, edits, chunk):
         data = _mutate(HAND_ARPA.encode(), edits)
-        _loads_as_reference(tmp_path, data, chunk, load_arpa, reference_load_arpa, arpa_form)
+        _loads_as_reference(tmp_path, data, chunk, load_arpa, reference_load_arpa, _arpa_form)
 
     @_FUZZ
     @given(edits=st.lists(_EDIT, min_size=1, max_size=4), chunk=_CHUNKS)
@@ -114,5 +114,5 @@ class TestLoaderFuzz:
             tmp_path, data, chunk,
             lambda p: load_lexicon(p, alphabet),
             lambda p: reference_load_lexicon(p, alphabet),
-            lexicon_form,
+            _lexicon_form,
         )

@@ -247,7 +247,9 @@ _TEXT = st.lists(
 ).map("".join)
 # an undecodable byte: a stray continuation, never-valid bytes, sequences
 # cut short, a surrogate
-_BAD = st.sampled_from([b"\x80", b"\xff", b"\xc0\xaf", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98", b"\xed\xa0\x80"])
+_BAD = st.sampled_from(
+    [b"\x80", b"\xff", b"\xc0\xaf", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98", b"\xed\xa0\x80"]
+)
 
 
 def _message(load, path):
