@@ -10,6 +10,7 @@ adjacent labels, which is what the lattice criteria rely on.
 
 from __future__ import annotations
 
+import io
 import itertools
 from dataclasses import dataclass, field
 
@@ -167,6 +168,15 @@ def save_alphabet(alphabet: Alphabet, path) -> None:
 
 
 def load_alphabet(path) -> Alphabet:
-    with open(path, encoding="utf-8") as f:
-        symbols = [line.rstrip("\n") for line in f if line.rstrip("\n")]
-    return Alphabet(tuple(symbols))
+    """Read a ``save_alphabet`` file, one symbol a line; a byte that is
+    not UTF-8 raises AlphabetError naming the file and the line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(list(io.StringIO(data[: exc.start].decode("utf-8") + "x", newline=None)))
+        raise AlphabetError(f"{path}: line {line}: byte {data[exc.start]:#04x} is not valid UTF-8") from None
+    # universal newlines, as a file opened in text mode reads them
+    lines = (line.rstrip("\n") for line in io.StringIO(text, newline=None))
+    return Alphabet(tuple(line for line in lines if line))

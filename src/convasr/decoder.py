@@ -11,7 +11,7 @@ word boundaries too), the weighted language model, and a per-word term:
     total = acoustic + alpha * ln P_lm(words) + beta * |words|
 
 The frontier is a set of parallel arrays of trie node ids and search
-state.  Each frame builds every candidate in arrival order: per
+state.  Each frame builds its candidates in arrival order: per
 hypothesis its stay, its silence (at the root) and its advances in
 grapheme order, each advance followed by the word commits it completes.
 One sort of packed integers (key, then arrival index) gathers the
@@ -25,7 +25,16 @@ Prune keeps the keys within the beam threshold of the frame best, then
 caps the in-word keys at the beam size with one partition at the k-th
 best total, exact ties going to the key that arrived first; word-boundary
 keys escape the cap, being the decodable outputs and bounded in number.
-Nothing is dropped before the merge: exactness needs no search bound.
+
+Most candidates are word starts (root hypothesis x root child) and few
+survive, so in "max" mode a frame first scores every start as one block.
+A start's key is in-word and totals at least its best start; with kappa
+the beam_size-th best of those per-key bests, at least beam_size keys
+reach kappa, and prune cuts every key whose members all fall below it.
+Only these starts are built: all of a key's that reaches kappa (so its
+first arrival and tie order stand), those onto a word end (their commits
+escape the cap) and those whose key a depth-1 stay shares (they may
+arrive first).  "logadd" mode, where all members' mass counts, builds all.
 """
 
 from __future__ import annotations
@@ -156,10 +165,14 @@ def decode(
     begin = f.shape[1]
     trans = np.vstack([transitions.trans, transitions.start])
     first, label, ends, num_ends = lexicon.first, lexicon.label, lexicon.ends, lexicon.num_ends
-    smeared = np.r_[0.0, lexicon.smeared[1:]]  # the root holds no partial word
+    smeared = np.concatenate([[0.0], lexicon.smeared[1:]])  # the root holds no partial word
+    kids = np.arange(first[0], first[1])  # the root's children, depth 1
+    kid_label, kid_ends = label[kids], num_ends[kids] > 0
+    kid_trans = trans[:, kid_label]  # into each root child
     # LM states are interned to ints, in order of first use
     states = [lm.start_state()]
     state_ids = {states[0]: 0}
+    memo: dict[tuple, tuple] = {}  # (state id, word id) -> (log10 score, next state id)
 
     # alpha * ln(10), so that the LM term is lm_weight * log10 mass; a
     # zero weight counts 0, also for an impossible (-inf) word sequence
@@ -176,24 +189,44 @@ def decode(
     last, acoustic, lm10, words = np.full(1, begin), np.zeros(1), np.zeros(1), [()]
 
     for frame in f:
-        # every hypothesis owns slots 0 (stay), 1 (silence) and 2 on (one
-        # per child in grapheme order); a slot that cannot move is masked
+        # the word starts to build (module docstring), root hypotheses x
+        # root children; their totals add up as the candidates' do below
+        r = np.flatnonzero(node == 0)
+        build = kid_label != last[r, None]
+        if cfg.silence == "mandatory":  # after a word, a new word needs silence first
+            build &= ((last[r] == sil) | (last[r] == begin))[:, None]
+        if cfg.mode == "max":
+            start_acoustic = (acoustic[r, None] + kid_trans[last[r]]) + frame[kid_label]
+            start = totals(start_acoustic, lm10[r, None], smeared[kids], num_words[r, None])
+            ids, row = np.unique(state[r], return_inverse=True)
+            cell = row[:, None] * kids.size + np.arange(kids.size)  # key: (LM state, child)
+            best = np.full(ids.size * kids.size, -np.inf)
+            np.maximum.at(best, cell[build], start[build])
+            if best.size >= cfg.beam_size:
+                keep = best >= np.partition(best, -cfg.beam_size)[-cfg.beam_size]
+                # a depth-1 hypothesis's stay has its node and LM state's key
+                d1 = np.flatnonzero((node >= first[0]) & (node < first[1]))
+                j = np.searchsorted(ids, state[d1]).clip(max=ids.size - 1)
+                shared = ids[j] == state[d1]
+                keep[j[shared] * kids.size + node[d1[shared]] - first[0]] = True
+                build &= keep[cell] | kid_ends
+        # every hypothesis owns slots 0 (stay), 1 (silence) and 2 on (one per
+        # child in grapheme order, or per start built); a slot that cannot move is masked
         count = 2 + first[node + 1] - first[node]
+        count[r] = 2 + np.count_nonzero(build, axis=1)
         src = np.repeat(np.arange(node.size), count)
         slot = np.arange(src.size) - np.repeat(np.cumsum(count) - count, count)
         stay, silence = slot == 0, slot == 1
         from_node, from_last = node[src], last[src]
         at_root = from_node == 0
         to = np.where(stay, from_node, np.where(silence, 0, first[from_node] + slot - 2))
+        to[at_root & (slot >= 2)] = kids[np.nonzero(build)[1]]
         lab = np.where(stay, from_last, np.where(silence, sil, label[to]))
         # the virtual start label cannot stay; advancing onto the last
         # label is indistinguishable from staying (identical letters need
         # silence or another word in between)
         ok = np.where(stay, from_last != begin, lab != from_last)
         ok[silence] &= at_root[silence] & (cfg.silence != "none")
-        if cfg.silence == "mandatory":
-            # after a word, a new word needs silence first
-            ok &= ~(at_root & (slot >= 2) & (from_last != sil) & (from_last != begin))
         pos = np.flatnonzero(ok)
         src, to, lab = src[pos], to[pos], lab[pos]
         moved = (acoustic[src] + trans[last[src], lab]) + frame[lab]
@@ -202,17 +235,21 @@ def decode(
         # copies at the root: the array order is the candidates' arrival order
         commits = np.where(slot[pos] >= 2, num_ends[to], 0)
         at = np.repeat(np.arange(pos.size), 1 + commits)  # each one's advance
-        is_commit = np.diff(at, prepend=-1) == 0  # all but an advance's first
+        is_commit = np.concatenate([[False], at[1:] == at[:-1]])  # all but an advance's first
         pool = list(words)
         new_state, new_lm10 = [], []
         for i in np.flatnonzero(commits).tolist():
             row = src[i]
+            from_state = int(state[row])
             for wid in ends[to[i]]:
-                s, new = score_word(lm, states[state[row]], lexicon.words[wid])
-                if new not in state_ids:
-                    state_ids[new] = len(states)
-                    states.append(new)
-                new_state.append(state_ids[new])
+                if (from_state, wid) not in memo:
+                    s, new = score_word(lm, states[from_state], lexicon.words[wid])
+                    if new not in state_ids:
+                        state_ids[new] = len(states)
+                        states.append(new)
+                    memo[from_state, wid] = s, state_ids[new]
+                s, next_state = memo[from_state, wid]
+                new_state.append(next_state)
                 new_lm10.append(lm10[row] + s)
                 pool.append(words[row] + (wid,))
         c_history, c_label, c_acoustic = src[at], lab[at], moved[at]
@@ -229,8 +266,8 @@ def decode(
         bits = key.size.bit_length()
         packed = np.sort(key << bits | np.arange(key.size))
         order, key = packed & ((1 << bits) - 1), packed >> bits
-        head = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        size = np.diff(np.r_[head, order.size])
+        head = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        size = np.diff(np.concatenate([head, [order.size]]))
         win = order[head]
         # the keys in first-arrival order: mark each key at its first member
         group = np.full(order.size, -1)

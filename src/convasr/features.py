@@ -64,14 +64,21 @@ class FeatureSequence:
 
 
 def load_wav(path) -> Waveform:
-    """Read a 16-bit mono WAV file, scaling samples to [-1, 1)."""
-    with wave.open(str(path), "rb") as w:
-        if w.getnchannels() != 1:
-            raise FeatureError(f"expected mono WAV, got {w.getnchannels()} channels")
-        if w.getsampwidth() != 2:
-            raise FeatureError(f"expected 16-bit WAV, got {8 * w.getsampwidth()}-bit")
-        rate = w.getframerate()
-        raw = w.readframes(w.getnframes())
+    """Read a 16-bit mono WAV file, scaling samples to [-1, 1).  A file
+    that is empty, not RIFF/WAVE, not 16-bit mono, cut inside its header
+    or short of the samples it declares raises FeatureError naming it."""
+    try:
+        with wave.open(str(path), "rb") as w:
+            if w.getnchannels() != 1:
+                raise FeatureError(f"{path}: expected mono WAV, got {w.getnchannels()} channels")
+            if w.getsampwidth() != 2:
+                raise FeatureError(f"{path}: expected 16-bit WAV, got {8 * w.getsampwidth()}-bit")
+            rate, size = w.getframerate(), 2 * w.getnframes()
+            raw = w.readframes(w.getnframes())
+    except (wave.Error, EOFError) as exc:  # EOFError: the header ends early
+        raise FeatureError(f"{path}: not a readable WAV file ({str(exc) or 'truncated header'})") from None
+    if len(raw) < size:
+        raise FeatureError(f"{path}: holds {len(raw)} of the {size} sample bytes its header declares")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples, rate)
 
@@ -87,8 +94,13 @@ def save_wav(path, w: Waveform) -> None:
 
 
 def load_pcm(path, sample_rate: int) -> Waveform:
-    """Read raw little-endian 16-bit PCM with a declared sample rate."""
-    samples = np.fromfile(str(path), dtype="<i2").astype(np.float64) / 32768.0
+    """Read raw little-endian 16-bit PCM with a declared sample rate; an
+    odd byte count raises FeatureError naming the file."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    if len(raw) % 2:
+        raise FeatureError(f"{path}: {len(raw)} bytes is not a whole number of 16-bit samples")
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples, sample_rate)
 
 

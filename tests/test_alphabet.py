@@ -168,6 +168,18 @@ class TestSerialization:
         assert loaded.silence_id == ab.silence_id
         assert loaded.rep2_id == ab.rep2_id
 
+    def test_any_line_break_and_blank_lines(self, tmp_path):
+        path = tmp_path / "alphabet.txt"
+        path.write_bytes(b"a\r\nb\rc\n\n|\n2\n3")
+        assert load_alphabet(path).symbols == ("a", "b", "c", "|", "2", "3")
+
+    @pytest.mark.parametrize("data, line", [(b"\xff", 1), (b"a\r\nb\r\xe9\n", 3), (b"a\n\n|\n\xc3", 4)])
+    def test_byte_not_utf8_names_the_line(self, tmp_path, data, line):
+        path = tmp_path / "alphabet.txt"
+        path.write_bytes(data)
+        with pytest.raises(AlphabetError, match=f"alphabet.txt: line {line}: byte 0x.. is not valid UTF-8"):
+            load_alphabet(path)
+
     def test_file_layout(self, ab, tmp_path):
         path = tmp_path / "alphabet.txt"
         save_alphabet(ab, path)

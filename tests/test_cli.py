@@ -1,9 +1,12 @@
 import csv
 import json
 import math
+import os
 import pathlib
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -77,6 +80,59 @@ class TestFeaturesCommand:
         )
         assert code == 1 and err.startswith("error:") and "stride" in err
         assert "Traceback" not in err
+
+
+def malformed_wav(tmp_path, case: str) -> bytes:
+    save_wav(tmp_path / "ok.wav", Waveform(np.zeros(800)))
+    good = (tmp_path / "ok.wav").read_bytes()
+    return {
+        "not_riff": b"not a RIFF/WAVE file at all",
+        "empty": b"",
+        "truncated_header": good[:30],
+        "zero_channels": good[:22] + struct.pack("<H", 0) + good[24:],  # the fmt chunk's channel count
+    }[case]
+
+
+def run_subprocess(*args):
+    """``python -m convasr.cli args``: (exit code, stderr)."""
+    root = pathlib.Path(__file__).parent.parent
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    result = subprocess.run(
+        [sys.executable, "-m", "convasr.cli", *map(str, args)], capture_output=True, text=True, timeout=120, env=env
+    )
+    return result.returncode, result.stderr
+
+
+class TestMalformedInputExits:
+    """Each malformed file is an input error (exit 1) with one ``error:``
+    line naming the file, and no traceback."""
+
+    def check(self, code, err, *names):
+        assert code == 1 and err.startswith("error:") and "Traceback" not in err, err
+        assert all(name in err for name in names), err
+
+    @pytest.mark.parametrize("case", ["not_riff", "empty", "truncated_header", "zero_channels"])
+    def test_unreadable_wav(self, tmp_path, case):
+        (tmp_path / "bad.wav").write_bytes(malformed_wav(tmp_path, case))
+        code, err = run_subprocess("features", "--input", tmp_path / "bad.wav", "--output", tmp_path / "f.bin")
+        self.check(code, err, "bad.wav")
+
+    def test_odd_length_pcm(self, tmp_path):
+        # 8001 bytes: 4000 whole samples, enough for frames, and one byte
+        (tmp_path / "x.pcm").write_bytes(b"\1" * 8001)
+        code, err = run_subprocess(
+            "features", "--input", tmp_path / "x.pcm", "--output", tmp_path / "f.bin", "--pcm-rate", "16000"
+        )
+        self.check(code, err, "x.pcm", "8001 bytes")
+
+    def test_alphabet_byte_not_utf8(self, tmp_path):
+        fileio.write_matrix(tmp_path / "e.bin", np.zeros((4, 30), dtype=np.float32))
+        (tmp_path / "abc.txt").write_bytes(b"a\nb\n\xff\n")
+        code, err = run_subprocess(
+            "loss", "--emissions", tmp_path / "e.bin", "--transcription", "a", "--alphabet", tmp_path / "abc.txt"
+        )
+        self.check(code, err, "abc.txt", "line 3", "0xff")
 
 
 class TestLossCommand:

@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from convasr import decoder
 from convasr.alphabet import default_alphabet, encode_transcription, make_alphabet
 from convasr.criterion import CriterionError, TransitionTable
 from convasr.decoder import (
@@ -15,7 +16,7 @@ from convasr.decoder import (
     exhaustive_decode,
     prune,
 )
-from convasr.lm import build_lexicon, load_arpa, smear
+from convasr.lm import build_lexicon, load_arpa, score_word, smear
 
 import oracles
 from conftest import make_bigram_arpa, random_transitions
@@ -215,6 +216,24 @@ class TestDecodeBasics:
         want = hex_nbest(f, tr, lm2, smear(build_lexicon(words, alphabet), lm2), cfg)
         assert stale != want  # the first LM's smearing changes this search
         assert hex_nbest(f, tr, lm2, lexicon, cfg) == want
+
+    def test_each_state_and_word_is_scored_once(self, tmp_path, alphabet, monkeypatch):
+        # a word committed again from the same LM state reuses its score
+        # and next state within one decode
+        rng = np.random.default_rng(3)
+        lm, lexicon = make_setup(tmp_path, lexicon_with_a_letter(rng, 5, 7), rng, alphabet)
+        f, tr = rng.normal(size=(12, len(alphabet))), random_transitions(rng, len(alphabet))
+        want = hex_nbest(f, tr, lm, lexicon, exhaustive_cfg())
+        queries = []
+
+        def counted(lm, state, word):
+            queries.append((state, word))
+            return score_word(lm, state, word)
+
+        monkeypatch.setattr(decoder, "score_word", counted)
+        assert hex_nbest(f, tr, lm, lexicon, exhaustive_cfg()) == want
+        commits = [q for q in queries if q[1] != "</s>"]
+        assert commits and len(commits) == len(set(commits))
 
     def test_concurrent_utterances_share_lm_and_lexicon(self, tmp_path, alphabet):
         # one utterance per thread over the same immutable model objects
@@ -522,11 +541,11 @@ class TestNarrowBeamGolden:
             np.testing.assert_allclose(scores, np.array([r[1:] for r in w["nbest"]]), rtol=0, atol=1e-9)
 
 
-def hex_nbest(f, tr, lm, lexicon, cfg) -> dict:
+def hex_nbest(f, tr, lm, lexicon, cfg, search=decode) -> dict:
     """A decode's n-best (nbest 5) with scores as float hex, or its
-    ``DecodeError`` message."""
+    ``DecodeError`` message; ``search`` is ``decode`` or a reference."""
     try:
-        results = decode(f, tr, lm, lexicon, cfg, nbest=5)
+        results = search(f, tr, lm, lexicon, cfg, nbest=5)
     except DecodeError as exc:
         return {"error": str(exc)}
     return {"nbest": [[r.words, r.score.hex(), r.acoustic.hex(), r.lm.hex()] for r in results]}
@@ -647,6 +666,68 @@ class TestTieGolden:
         got = hex_nbest(*word_end_commit_case(tmp_path))
         assert [r[0] for r in got["nbest"]] == [["bc"], ["a"]]
         assert {"case": "word_end_commit", **got} == recorded_ties()[-1]
+
+
+def start_bound_case(tmp_path, words, peaks, trans=None, mode="max"):
+    """A beam-1 decode at alpha 0 and beta 0 over ``words`` (letters
+    "abcd"): frame t scores -5 on every label but ``peaks[t]``, a dict
+    from symbol (" " is silence) to score.  Zero transitions unless
+    ``trans`` maps a (from, to) symbol pair to a score."""
+    alphabet = make_alphabet(LETTERS)
+    lm, lexicon = make_setup(tmp_path, words, np.random.default_rng(5), alphabet)
+    ids = dict(alphabet.index, **{" ": alphabet.silence_id})
+    f = np.full((len(peaks), len(alphabet)), -5.0)
+    for t, row in enumerate(peaks):
+        for symbol, score in row.items():
+            f[t, ids[symbol]] = score
+    tr = TransitionTable.zeros(len(alphabet))
+    for (a, b), score in (trans or {}).items():
+        tr.trans[ids[a], ids[b]] = score
+    cfg = DecoderConfig(alpha=0.0, beta=0.0, beam_size=1, mode=mode, silence="optional")
+    return f, tr, lm, lexicon, cfg
+
+
+class TestWordStartBound:
+    """The word starts that ``decode`` builds in "max" mode: each case
+    cuts a start that the bound must keep, and the n-best list, which
+    matches the search that builds every candidate, shows it.  A start
+    onto a word end is ``test_word_end_commit_of_a_dropped_start``."""
+
+    def check(self, case, words, score):
+        got = hex_nbest(*case)
+        assert got == hex_nbest(*case, search=oracles.reference_decode)
+        assert got["nbest"][0][:2] == [words, score.hex()]
+
+    def test_starts_tied_with_kappa_are_built(self, tmp_path):
+        # frame 0: the starts "a" and "c" tie at kappa, the best start;
+        # "a" arrived first and goes on to "ab"
+        case = start_bound_case(tmp_path, ["ab", "cd"], [{"a": 1, "c": 1, " ": 0}, {"b": 1, "d": 0}])
+        self.check(case, ["ab"], 2.0)
+
+    def test_every_start_of_a_key_that_reaches_kappa_is_built(self, tmp_path):
+        # frame 2: after the word "a", its root copies on "a" (first) and on
+        # silence start "b" and "c"; every start totals kappa = 1 but "a" ->
+        # "b" (0), which is the first arrival of the key on "b", so "b" wins
+        # the tie for the beam and goes on to "bd"
+        peaks = [{"a": 0}, {"a": 0, " ": 1}, {"b": 0, "c": 1}, {"d": 1}]
+        case = start_bound_case(tmp_path, ["a", "bd", "cd"], peaks, trans={(" ", "c"): -1})
+        self.check(case, ["a", "bd"], 2.0)
+
+    def test_start_sharing_a_key_with_a_depth_one_stay_is_built(self, tmp_path):
+        # frame 1: the stay on "a" ties with the start "c" at kappa = 1; the
+        # start onto "a" (0) is below kappa but is its key's first arrival,
+        # so "a" wins the tie for the beam and goes on to "ab"
+        peaks = [{"a": 1, " ": 0}, {"a": 0, "c": 1}, {"b": 1, "d": 0}]
+        self.check(start_bound_case(tmp_path, ["ab", "cd"], peaks), ["ab"], 2.0)
+
+    def test_logadd_mode_builds_every_start(self, tmp_path):
+        # frame 2: the key on "b" adds two starts of 0 (ln 2 > 0.5), the
+        # key on "c" has one start of 0.5
+        peaks = [{"a": 0}, {"a": 0, " ": 0}, {"b": 0, "c": 0.5}, {"d": 1}]
+        case = start_bound_case(tmp_path, ["a", "bd", "cd"], peaks, trans={(" ", "c"): -9}, mode="logadd")
+        got = hex_nbest(*case)
+        assert got == hex_nbest(*case, search=oracles.reference_decode)
+        assert got["nbest"][0][0] == ["a", "bd"]
 
 
 def scale_nbest(tmp_path) -> list:

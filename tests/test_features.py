@@ -1,3 +1,5 @@
+import wave
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,36 @@ class TestAudioIO:
         pcm.tofile(path)
         w = load_pcm(path, RATE)
         np.testing.assert_allclose(w.samples, pcm.astype(float) / 32768.0)
+
+    @pytest.mark.parametrize("size", [1, 3, 8001])
+    def test_odd_length_pcm_rejected(self, tmp_path, size):
+        # a byte count that is not a whole number of samples used to drop
+        # its last byte silently
+        path = tmp_path / "x.pcm"
+        path.write_bytes(b"\1" * size)
+        with pytest.raises(FeatureError, match=f"x.pcm: {size} bytes"):
+            load_pcm(path, RATE)
+
+    @pytest.mark.parametrize("channels, width, want", [(2, 2, "got 2 channels"), (1, 1, "got 8-bit")])
+    def test_wav_not_16_bit_mono_rejected(self, tmp_path, channels, width, want):
+        path = tmp_path / "x.wav"
+        with wave.open(str(path), "wb") as out:
+            out.setnchannels(channels)
+            out.setsampwidth(width)
+            out.setframerate(RATE)
+            out.writeframes(b"\0" * 40)
+        with pytest.raises(FeatureError, match=f"x.wav: expected .*{want}"):
+            load_wav(path)
+
+    @pytest.mark.parametrize("size", [3, 100])
+    def test_wav_holding_fewer_samples_than_declared_rejected(self, tmp_path, size):
+        # a cut ending mid-sample used to fail in numpy, and an even one
+        # loaded the samples that were left
+        path = tmp_path / "x.wav"
+        save_wav(path, Waveform(np.zeros(100), RATE))
+        path.write_bytes(path.read_bytes()[: 44 + size])  # 44-byte header
+        with pytest.raises(FeatureError, match=f"x.wav: holds {size} of the 200 sample bytes"):
+            load_wav(path)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(FeatureError):
