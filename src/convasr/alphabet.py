@@ -167,16 +167,37 @@ def save_alphabet(alphabet: Alphabet, path) -> None:
             f.write(s + "\n")
 
 
-def load_alphabet(path) -> Alphabet:
-    """Read a ``save_alphabet`` file, one symbol a line; a byte that is
-    not UTF-8 raises AlphabetError naming the file and the line."""
+def _not_utf8(path, split) -> str:
+    """``line N: byte 0x.. is not valid UTF-8`` for the first such byte of
+    the file at ``path``, once decoding it has failed; N counts the lines
+    that ``split`` makes of the text before the byte."""
     with open(path, "rb") as f:
         data = f.read()
     try:
-        text = data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = len(list(io.StringIO(data[: exc.start].decode("utf-8") + "x", newline=None)))
-        raise AlphabetError(f"{path}: line {line}: byte {data[exc.start]:#04x} is not valid UTF-8") from None
-    # universal newlines, as a file opened in text mode reads them
-    lines = (line.rstrip("\n") for line in io.StringIO(text, newline=None))
-    return Alphabet(tuple(line for line in lines if line))
+        line = len(split(data[: exc.start].decode("utf-8") + "x"))
+        return f"line {line}: byte {data[exc.start]:#04x} is not valid UTF-8"
+    raise OSError(f"{path} changed while it was read")
+
+
+def _read_text(path, read, error: type):
+    """``read(f)`` for the UTF-8 file at ``path`` opened in text mode; a
+    byte that is not UTF-8 raises ``error`` naming the file and the line,
+    counted in universal newlines as the text mode reads them."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return read(f)
+    except UnicodeDecodeError:
+        where = _not_utf8(path, lambda text: io.StringIO(text, newline=None).readlines())
+        raise error(f"{path}: {where}") from None
+
+
+def load_alphabet(path) -> Alphabet:
+    """Read a ``save_alphabet`` file, one symbol a line; a byte that is
+    not UTF-8 or a malformed inventory raises AlphabetError naming the file."""
+    lines = _read_text(path, lambda f: [line.rstrip("\n") for line in f], AlphabetError)
+    try:
+        return Alphabet(tuple(line for line in lines if line))
+    except AlphabetError as exc:
+        raise AlphabetError(f"{path}: {exc}") from None

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import acoustic, bench, fileio, metrics, training
 from .alphabet import default_alphabet, load_alphabet, decode_labels, encode_transcription, collapse_path
+from .alphabet import _read_text
 from .criterion import (
     TransitionTable,
     asg_loss,
@@ -164,8 +165,7 @@ def _config_from(cls, cfg: dict, keys):
 
 
 def _cmd_train_toy(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    cfg = _read_text(args.config, json.load, ValueError)  # RFC 8259: JSON text is UTF-8
     if not isinstance(cfg, dict):
         raise ValueError(f"config must be a JSON object of keys, got {cfg!r}")
     for key in _TRAIN_REQUIRED:
@@ -224,8 +224,7 @@ def _cmd_decode(args) -> int:
 
 
 def _read_lines(path):
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+    return _read_text(path, lambda fh: [line.rstrip("\n") for line in fh], ValueError)
 
 
 def _cmd_error_rate(args, unit: str) -> int:
@@ -242,11 +241,15 @@ def _cmd_error_rate(args, unit: str) -> int:
 
 def _cmd_bench(args) -> int:
     criteria = ("asg", "ctc") if args.criterion == "both" else (args.criterion,)
+    try:
+        batch_sizes = tuple(int(b) for b in args.batch_sizes.split(","))
+    except ValueError:
+        raise ValueError(f"--batch-sizes: expected integers, got {args.batch_sizes!r}") from None
     cfg = bench.BenchConfig(
         frames=args.frames,
         vocab=args.vocab,
         transcription=args.transcription_size,
-        batch_sizes=tuple(int(b) for b in args.batch_sizes.split(",")),
+        batch_sizes=batch_sizes,
         repetitions=args.repetitions,
         criteria=criteria,
         seed=args.seed,

@@ -66,7 +66,7 @@ class FeatureSequence:
 def load_wav(path) -> Waveform:
     """Read a 16-bit mono WAV file, scaling samples to [-1, 1).  A file
     that is empty, not RIFF/WAVE, not 16-bit mono, cut inside its header
-    or short of the samples it declares raises FeatureError naming it."""
+    or a chunk, or short of its samples raises FeatureError naming it."""
     try:
         with wave.open(str(path), "rb") as w:
             if w.getnchannels() != 1:
@@ -75,8 +75,9 @@ def load_wav(path) -> Waveform:
                 raise FeatureError(f"{path}: expected 16-bit WAV, got {8 * w.getsampwidth()}-bit")
             rate, size = w.getframerate(), 2 * w.getnframes()
             raw = w.readframes(w.getnframes())
-    except (wave.Error, EOFError) as exc:  # EOFError: the header ends early
-        raise FeatureError(f"{path}: not a readable WAV file ({str(exc) or 'truncated header'})") from None
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        # bare EOFError: the header ends early; RuntimeError: a chunk overruns the RIFF chunk
+        raise FeatureError(f"{path}: not a readable WAV file ({str(exc) or 'truncated chunk'})") from None
     if len(raw) < size:
         raise FeatureError(f"{path}: holds {len(raw)} of the {size} sample bytes its header declares")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0

@@ -27,7 +27,7 @@ import struct
 
 import numpy as np
 
-from .acoustic import NONLINEARITIES, ConvLayerSpec, LayerParams, ModelParams, NetworkSpec
+from .acoustic import NONLINEARITIES, AcousticError, ConvLayerSpec, LayerParams, ModelParams, NetworkSpec
 from .criterion import TransitionTable
 from .features import FeatureSequence
 
@@ -66,7 +66,8 @@ def _read_exact(f, n: int, error: str) -> bytes:
 
 
 def read_matrix(path) -> tuple[np.ndarray, float, float]:
-    """Returns (float32 array, stride_ms, window_ms)."""
+    """Returns (float32 array, stride_ms, window_ms); a NaN or infinite
+    value raises FormatError naming the file."""
     with open(path, "rb") as f:
         header = _read_exact(f, _HEADER.size, f"{path}: truncated header")
         magic, rows, cols, stride_ms, window_ms = _HEADER.unpack(header)
@@ -76,6 +77,8 @@ def read_matrix(path) -> tuple[np.ndarray, float, float]:
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
     array = np.frombuffer(data, dtype="<f4").reshape(rows, cols)
+    if not np.isfinite(array).all():
+        raise FormatError(f"{path}: non-finite value in the payload")
     return array.copy(), stride_ms, window_ms
 
 
@@ -132,8 +135,16 @@ def save_checkpoint(path, spec, params, transitions) -> None:
 
 
 def load_checkpoint(path):
+    """Read a ``save_checkpoint`` file; a malformed one raises FormatError naming it."""
+
     def read_exact(f, n, what):
         return _read_exact(f, n, f"{path}: truncated {what}")
+
+    def read_finite(f, n, what):
+        values = np.frombuffer(read_exact(f, 4 * n, what), dtype="<f4")
+        if not np.isfinite(values).all():
+            raise FormatError(f"{path}: non-finite {what}")
+        return values.astype(np.float64)
 
     with open(path, "rb") as f:
         if read_exact(f, 4, "magic") != CHECKPOINT_MAGIC:
@@ -144,16 +155,15 @@ def load_checkpoint(path):
             d_in, d_out, kw, dw, code = struct.unpack("<5I", read_exact(f, 20, "layer header"))
             if code >= len(NONLINEARITIES):
                 raise FormatError(f"{path}: unknown nonlinearity code {code}")
-            w = np.frombuffer(
-                read_exact(f, 4 * d_out * d_in * kw, "weights"), dtype="<f4"
-            ).reshape(d_out, d_in, kw)
-            b = np.frombuffer(read_exact(f, 4 * d_out, "bias"), dtype="<f4")
-            layers.append(ConvLayerSpec(d_in, d_out, kw, dw, NONLINEARITIES[code]))
-            lparams.append(LayerParams(w.astype(np.float64), b.astype(np.float64)))
+            w = read_finite(f, d_out * d_in * kw, "weights").reshape(d_out, d_in, kw)
+            lparams.append(LayerParams(w, read_finite(f, d_out, "bias")))
+            layers.append((d_in, d_out, kw, dw, NONLINEARITIES[code]))
         (n_labels,) = struct.unpack("<I", read_exact(f, 4, "transition header"))
-        block = np.frombuffer(
-            read_exact(f, 4 * (n_labels + 1) * n_labels, "transitions"), dtype="<f4"
-        ).reshape(n_labels + 1, n_labels)
+        block = read_finite(f, (n_labels + 1) * n_labels, "transitions").reshape(n_labels + 1, n_labels)
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
-    return NetworkSpec(layers), ModelParams(lparams), _transition_table(block)
+    try:
+        spec = NetworkSpec([ConvLayerSpec(*layer) for layer in layers])
+    except AcousticError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return spec, ModelParams(lparams), _transition_table(block)

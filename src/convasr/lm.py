@@ -3,8 +3,9 @@
 Scores stay in ARPA's log10 domain throughout this module; the decoder
 multiplies by ln(10) when mixing them with natural-log acoustic scores.
 Keeping the raw file values makes save/load round-trips bit-identical.
-ARPA and lexicon files are read as a stream of lines, one chunk of the
-file at a time, so loading needs memory for the model plus one chunk.
+ARPA and lexicon files are read as a stream of lines through the
+standard library's UTF-8 text reader, one read at a time, so loading
+needs memory for the model plus one read.
 
 The lexicon is a trie over repetition-encoded grapheme spellings, held
 as flat arrays in breadth-first order.  Each node can be "smeared" with
@@ -14,13 +15,12 @@ admissible language-model estimate during beam search.
 
 from __future__ import annotations
 
-import codecs
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alphabet import Alphabet, encode_transcription
+from .alphabet import Alphabet, _not_utf8, encode_transcription
 
 LN10 = 2.302585092994046  # natural log of 10: converts log10 to ln
 
@@ -51,55 +51,33 @@ class NGramLM:
         return ()
 
 
-_CHUNK = 1 << 16  # bytes per read: a loader holds one chunk of a file's text
-_BREAKS = "\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines breaks
-
-
-def _texts(f, error: type):
-    """Binary file ``f`` decoded as UTF-8, one piece per ``_CHUNK``-byte
-    read (a character cut by a chunk edge starts the next piece); an
-    undecodable byte raises ``error`` naming its line."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    while True:
-        start = f.tell() - len(decoder.getstate()[0])  # where the decoder's input begins
-        chunk = f.read(_CHUNK)
-        try:
-            text = decoder.decode(chunk, final=not chunk)
-        except UnicodeDecodeError as exc:
-            f.seek(0)
-            data = f.read(start + exc.start + 1)  # through the bad byte
-            # the line breaks before the bad byte, plus one
-            line = len((data[:-1].decode("utf-8") + "x").splitlines())
-            raise error(f"line {line}: byte {data[-1]:#04x} is not valid UTF-8") from None
-        yield text
-        if not chunk:
-            return
+_CHUNK = 1 << 16  # characters per read: a loader holds one read of a file's text
 
 
 def _lines(path, error: type):
     """``(line number, line)`` for each line of the UTF-8 file at ``path``,
-    broken where ``str.splitlines`` breaks, one chunk in memory at a time.
+    broken where ``str.splitlines`` breaks, one read in memory at a time.
 
     A first pass only decodes, so an undecodable byte anywhere raises
-    ``error`` before a caller can fail on an earlier line."""
-    with open(path, "rb") as f:
-        for _ in _texts(f, error):
-            pass
+    ``error`` naming its line before a caller can fail on an earlier line.
+    The second reads with universal newlines, so a "\\r\\n" cut by a read
+    still arrives as one "\\n"."""
+    with open(path, encoding="utf-8", newline=None) as f:
+        try:
+            while f.read(_CHUNK):
+                pass
+        except UnicodeDecodeError:
+            raise error(_not_utf8(path, str.splitlines)) from None
         f.seek(0)
-        lineno, rest = 0, ""  # rest: the line still open at the chunk edge
-        for text in _texts(f, error):
-            text = rest + text
-            lines = text.splitlines()
-            if text.endswith("\r"):  # its "\n" may start the next chunk
-                rest = lines.pop() + "\r"
-            elif text and text[-1] not in _BREAKS:
-                rest = lines.pop()
-            else:
-                rest = ""
+        lineno, rest = 0, ""  # rest: the line still open at the end of a read
+        while text := f.read(_CHUNK):
+            # "x" ends the last line: it is open unless the text ended with a break
+            *lines, rest = (rest + text + "x").splitlines()
+            rest = rest[:-1]
             yield from enumerate(lines, lineno + 1)
             lineno += len(lines)
         if rest:
-            yield lineno + 1, rest.rstrip("\r")
+            yield lineno + 1, rest
 
 
 def load_arpa(path) -> NGramLM:

@@ -135,6 +135,45 @@ class TestMalformedInputExits:
         self.check(code, err, "abc.txt", "line 3", "0xff")
 
 
+    @pytest.mark.parametrize(
+        "command", ["features", "loss", "viterbi", "train-toy", "decode", "ler", "wer", "bench"]
+    )
+    def test_every_subcommand_names_its_malformed_input(self, tmp_path, command):
+        args, names = malformed_inputs(tmp_path)[command]
+        code, err = run_subprocess(command, *args)
+        self.check(code, err, *names)
+
+
+def malformed_inputs(tmp_path) -> dict:
+    """Per subcommand: arguments that run it on one malformed input, and
+    what its error line must name (the input, and the line of a byte that
+    is not UTF-8)."""
+    save_wav(tmp_path / "ok.wav", Waveform(np.zeros(800)))
+    wav = (tmp_path / "ok.wav").read_bytes()
+    # a 1 MiB chunk before the data chunk runs past the RIFF chunk
+    (tmp_path / "bad.wav").write_bytes(wav[:36] + b"LIST" + struct.pack("<I", 1 << 20) + wav[36:])
+    nan = struct.pack("<f", math.nan)
+    fileio.write_matrix(tmp_path / "e.bin", np.zeros((4, 30), dtype=np.float32))
+    (tmp_path / "nan.bin").write_bytes((tmp_path / "e.bin").read_bytes()[:-4] + nan)
+    fileio.write_transitions(tmp_path / "nan.tr", TransitionTable.zeros(30))
+    (tmp_path / "nan.tr").write_bytes((tmp_path / "nan.tr").read_bytes()[:-4] + nan)
+    make_bigram_arpa(tmp_path / "lm.arpa", ["a"], np.random.default_rng(0))
+    (tmp_path / "ok.txt").write_text("a b\n")  # as an alphabet, it lacks the silence symbol
+    (tmp_path / "bad.txt").write_bytes(b"a\nb\xff\n")
+    e, ref = ["--emissions", tmp_path / "e.bin"], ["--ref", tmp_path / "ok.txt"]
+    not_utf8 = ["bad.txt", "line 2", "0xff"]
+    return {
+        "features": (["--input", tmp_path / "bad.wav", "--output", tmp_path / "f.bin"], ["bad.wav"]),
+        "loss": (["--emissions", tmp_path / "nan.bin", "--transcription", "a"], ["nan.bin"]),
+        "viterbi": ([*e, "--transitions", tmp_path / "nan.tr"], ["nan.tr"]),
+        "train-toy": (["--config", tmp_path / "bad.txt"], not_utf8),
+        "decode": ([*e, "--arpa", tmp_path / "lm.arpa", "--alphabet", tmp_path / "ok.txt"], ["ok.txt", "'|'"]),
+        "ler": ([*ref, "--hyp", tmp_path / "bad.txt"], not_utf8),
+        "wer": ([*ref, "--hyp", tmp_path / "bad.txt"], not_utf8),
+        "bench": (["--batch-sizes", "1,x"], ["--batch-sizes", "'1,x'"]),
+    }
+
+
 class TestLossCommand:
     def test_uniform_asg_fixture(self, tmp_path, capsys):
         fileio.write_matrix(tmp_path / "e.bin", np.zeros((2, 30), dtype=np.float32))

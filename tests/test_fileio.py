@@ -1,4 +1,6 @@
+import math
 import os
+import re
 import struct
 import threading
 
@@ -188,3 +190,36 @@ class TestCheckpoint:
         (tmp_path / "x.ckpt").write_bytes(header + b"\0" * 64)
         with pytest.raises(FormatError, match="truncated weights"):
             load_checkpoint(tmp_path / "x.ckpt")
+
+    # offsets into the checkpoint of one 2-in, 2-out, kw 2 layer and 2 labels:
+    # magic and layer count (8), layer header (20), 8 weights, 2 biases
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [
+            (28, math.nan, "non-finite weights"),
+            (28 + 4 * 8, math.inf, "non-finite bias"),
+            (28 + 4 * 10 + 4, -math.inf, "non-finite transitions"),
+            (20, 0, "stride must be >= 1"),  # the layer's dw field
+        ],
+    )
+    def test_malformed_values_name_the_file(self, tmp_path, offset, value, message):
+        spec = NetworkSpec([ConvLayerSpec(2, 2, 2, 1)])
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(path, spec, init_params(spec, np.random.default_rng(8)), TransitionTable.zeros(2))
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<f" if isinstance(value, float) else "<I", data, offset, value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*{message}"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("read", [read_matrix, read_features, read_transitions])
+def test_a_non_finite_matrix_value_names_the_file(tmp_path, read, value):
+    path = tmp_path / "t.bin"
+    write_transitions(path, TransitionTable.zeros(3))
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<f", data, 20 + 4 * 5, value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: non-finite"):
+        read(path)
