@@ -6,11 +6,14 @@ repetition labels: "2" marks a letter written twice in a row and "3"
 a letter written three times, so "caterpillar" becomes
 c,a,t,e,r,p,i,l,2,a,r.  Encoded sequences never contain two identical
 adjacent labels, which is what the lattice criteria rely on.
+
+``_lines`` is the package's one reader of text files by line: alphabet,
+ARPA, lexicon and ``ler``/``wer`` files are read through it as UTF-8 and
+break where ``str.splitlines`` breaks.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
 from dataclasses import dataclass, field
 
@@ -167,37 +170,53 @@ def save_alphabet(alphabet: Alphabet, path) -> None:
             f.write(s + "\n")
 
 
-def _not_utf8(path, split) -> str:
+_CHUNK = 1 << 16  # characters per read: a reader holds one read of a file's text
+
+
+def _not_utf8(path) -> str:
     """``line N: byte 0x.. is not valid UTF-8`` for the first such byte of
-    the file at ``path``, once decoding it has failed; N counts the lines
-    that ``split`` makes of the text before the byte."""
+    the file at ``path``, once decoding it has failed; N counts lines as
+    ``str.splitlines`` does."""
     with open(path, "rb") as f:
         data = f.read()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = len(split(data[: exc.start].decode("utf-8") + "x"))
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         return f"line {line}: byte {data[exc.start]:#04x} is not valid UTF-8"
     raise OSError(f"{path} changed while it was read")
 
 
-def _read_text(path, read, error: type):
-    """``read(f)`` for the UTF-8 file at ``path`` opened in text mode; a
-    byte that is not UTF-8 raises ``error`` naming the file and the line,
-    counted in universal newlines as the text mode reads them."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            return read(f)
-    except UnicodeDecodeError:
-        where = _not_utf8(path, lambda text: io.StringIO(text, newline=None).readlines())
-        raise error(f"{path}: {where}") from None
+def _lines(path, error):
+    """``(line number, line)`` for each line of the UTF-8 file at ``path``,
+    broken where ``str.splitlines`` breaks, one read in memory at a time.
+
+    A first pass only decodes, so an undecodable byte anywhere raises
+    ``error(where)`` naming its line before a caller can fail on an earlier
+    line.  The second reads with universal newlines, so a "\\r\\n" cut by a
+    read still arrives as one "\\n"."""
+    with open(path, encoding="utf-8", newline=None) as f:
+        try:
+            while f.read(_CHUNK):
+                pass
+        except UnicodeDecodeError:
+            raise error(_not_utf8(path)) from None
+        f.seek(0)
+        lineno, rest = 0, ""  # rest: the line still open at the end of a read
+        while text := f.read(_CHUNK):
+            # "x" ends the last line: it is open unless the text ended with a break
+            *lines, rest = (rest + text + "x").splitlines()
+            rest = rest[:-1]
+            yield from enumerate(lines, lineno + 1)
+            lineno += len(lines)
+        if rest:
+            yield lineno + 1, rest
 
 
 def load_alphabet(path) -> Alphabet:
     """Read a ``save_alphabet`` file, one symbol a line; a byte that is
     not UTF-8 or a malformed inventory raises AlphabetError naming the file."""
-    lines = _read_text(path, lambda f: [line.rstrip("\n") for line in f], AlphabetError)
     try:
-        return Alphabet(tuple(line for line in lines if line))
+        return Alphabet(tuple(line for _, line in _lines(path, AlphabetError) if line))
     except AlphabetError as exc:
         raise AlphabetError(f"{path}: {exc}") from None

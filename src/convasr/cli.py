@@ -22,7 +22,7 @@ import numpy as np
 
 from . import acoustic, bench, fileio, metrics, training
 from .alphabet import default_alphabet, load_alphabet, decode_labels, encode_transcription, collapse_path
-from .alphabet import _read_text
+from .alphabet import _lines, _not_utf8
 from .criterion import (
     TransitionTable,
     asg_loss,
@@ -33,7 +33,7 @@ from .criterion import (
 )
 from .decoder import DecodeError, DecoderConfig, decode
 from .features import load_pcm, load_wav, mfcc, normalize, power_spectrum
-from .lm import build_lexicon, load_arpa, load_lexicon, smear
+from .lm import LMError, build_lexicon, load_arpa, load_lexicon, smear
 
 ENV_PREFIX = "CONVASR_"
 _ENV_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
@@ -165,7 +165,12 @@ def _config_from(cls, cfg: dict, keys):
 
 
 def _cmd_train_toy(args) -> int:
-    cfg = _read_text(args.config, json.load, ValueError)  # RFC 8259: JSON text is UTF-8
+    try:
+        with open(args.config, encoding="utf-8") as fh:  # RFC 8259: JSON text is UTF-8
+            cfg = json.load(fh)  # whole: a JSON string may hold a line break such as U+2028
+    except ValueError as exc:  # a byte that is not UTF-8, or a JSON syntax error
+        where = _not_utf8(args.config) if isinstance(exc, UnicodeDecodeError) else exc
+        raise ValueError(f"{args.config}: {where}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"config must be a JSON object of keys, got {cfg!r}")
     for key in _TRAIN_REQUIRED:
@@ -198,13 +203,21 @@ def _cmd_train_toy(args) -> int:
     return EXIT_OK
 
 
+def _named(path, load, *rest):
+    """``load(path, *rest)``, its LMError, which names only a line, naming ``path`` too."""
+    try:
+        return load(path, *rest)
+    except LMError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _cmd_decode(args) -> int:
     f = _read_emissions(args.emissions)
     alphabet = _alphabet_from(args)
     tr = _read_transitions(args.transitions, f.shape[1])
-    lm = load_arpa(args.arpa)
+    lm = _named(args.arpa, load_arpa)
     if args.lexicon:
-        lexicon = load_lexicon(args.lexicon, alphabet)
+        lexicon = _named(args.lexicon, load_lexicon, alphabet)
     else:
         lexicon = build_lexicon(sorted(w for w in lm.vocab if not w.startswith("<")), alphabet)
     smear(lexicon, lm)
@@ -224,7 +237,7 @@ def _cmd_decode(args) -> int:
 
 
 def _read_lines(path):
-    return _read_text(path, lambda fh: [line.rstrip("\n") for line in fh], ValueError)
+    return [line for _, line in _lines(path, lambda where: ValueError(f"{path}: {where}"))]
 
 
 def _cmd_error_rate(args, unit: str) -> int:
@@ -352,11 +365,7 @@ def main(argv=None) -> int:
     except DecodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_HYPOTHESIS
-    except (
-        OSError,
-        ValueError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (OSError, ValueError) as exc:
         # AlphabetError/CriterionError/LMError/FeatureError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -3,9 +3,9 @@
 Scores stay in ARPA's log10 domain throughout this module; the decoder
 multiplies by ln(10) when mixing them with natural-log acoustic scores.
 Keeping the raw file values makes save/load round-trips bit-identical.
-ARPA and lexicon files are read as a stream of lines through the
-standard library's UTF-8 text reader, one read at a time, so loading
-needs memory for the model plus one read.
+ARPA and lexicon files are read as a stream of lines through
+``alphabet._lines``, one read at a time, so loading needs memory for
+the model plus one read.  Loader messages name the line, not the file.
 
 The lexicon is a trie over repetition-encoded grapheme spellings, held
 as flat arrays in breadth-first order.  Each node can be "smeared" with
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alphabet import Alphabet, _not_utf8, encode_transcription
+from .alphabet import Alphabet, _lines, encode_transcription
 
 LN10 = 2.302585092994046  # natural log of 10: converts log10 to ln
 
@@ -49,35 +49,6 @@ class NGramLM:
         if BOS in self.vocab:
             return (self.vocab[BOS],)
         return ()
-
-
-_CHUNK = 1 << 16  # characters per read: a loader holds one read of a file's text
-
-
-def _lines(path, error: type):
-    """``(line number, line)`` for each line of the UTF-8 file at ``path``,
-    broken where ``str.splitlines`` breaks, one read in memory at a time.
-
-    A first pass only decodes, so an undecodable byte anywhere raises
-    ``error`` naming its line before a caller can fail on an earlier line.
-    The second reads with universal newlines, so a "\\r\\n" cut by a read
-    still arrives as one "\\n"."""
-    with open(path, encoding="utf-8", newline=None) as f:
-        try:
-            while f.read(_CHUNK):
-                pass
-        except UnicodeDecodeError:
-            raise error(_not_utf8(path, str.splitlines)) from None
-        f.seek(0)
-        lineno, rest = 0, ""  # rest: the line still open at the end of a read
-        while text := f.read(_CHUNK):
-            # "x" ends the last line: it is open unless the text ended with a break
-            *lines, rest = (rest + text + "x").splitlines()
-            rest = rest[:-1]
-            yield from enumerate(lines, lineno + 1)
-            lineno += len(lines)
-        if rest:
-            yield lineno + 1, rest
 
 
 def load_arpa(path) -> NGramLM:

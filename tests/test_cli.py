@@ -134,6 +134,28 @@ class TestMalformedInputExits:
         )
         self.check(code, err, "abc.txt", "line 3", "0xff")
 
+    @pytest.mark.parametrize(
+        "bad, data, where",
+        [
+            ("lm.arpa", b"\\data\\\nngram 1=x\n", "line 2: cannot parse count line 'ngram 1=x'"),
+            ("lex.txt", b"cat\tc a t\ndog d o g\n", "line 2: expected 'word<TAB>spelling'"),
+        ],
+    )
+    def test_decode_names_the_model_file_that_fails(self, tmp_path, bad, data, where):
+        fileio.write_matrix(tmp_path / "e.bin", np.zeros((4, 30), dtype=np.float32))
+        make_bigram_arpa(tmp_path / "lm.arpa", ["cat", "dog"], np.random.default_rng(0))
+        (tmp_path / "lex.txt").write_text("cat\tc a t\ndog\td o g\n")
+        (tmp_path / bad).write_bytes(data)
+        code, err = run_subprocess(
+            "decode", "--emissions", tmp_path / "e.bin", "--arpa", tmp_path / "lm.arpa", "--lexicon", tmp_path / "lex.txt"
+        )
+        self.check(code, err, f"{tmp_path / bad}: {where}")
+
+    def test_config_syntax_error_names_the_file(self, tmp_path):
+        (tmp_path / "cfg.json").write_text('{"epochs": 1,\n "seed": }')
+        code, err = run_subprocess("train-toy", "--config", tmp_path / "cfg.json")
+        self.check(code, err, f"{tmp_path / 'cfg.json'}: Expecting value: line 2 column 10")
+
 
     @pytest.mark.parametrize(
         "command", ["features", "loss", "viterbi", "train-toy", "decode", "ler", "wer", "bench"]

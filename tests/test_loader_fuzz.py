@@ -15,7 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from convasr import lm
+from convasr import alphabet as alphabet_module
 from convasr.acoustic import ConvLayerSpec, NetworkSpec, init_params
 from convasr.alphabet import AlphabetError, default_alphabet, load_alphabet, make_alphabet, save_alphabet
 from convasr.criterion import TransitionTable
@@ -96,13 +96,13 @@ def _outcome(load, form, path):
 def _loads_as_reference(tmp_path, data: bytes, chunk: int, load, reference, form) -> None:
     path = tmp_path / "fuzzed"
     path.write_bytes(data)
-    with mock.patch.object(lm, "_CHUNK", chunk):
+    with mock.patch.object(alphabet_module, "_CHUNK", chunk):
         got = _outcome(load, form, path)
     assert got == _outcome(reference, form, path)
 
 
 # chunk sizes that cut lines, "\r\n" pairs and multi-byte characters, and the default
-_CHUNKS = st.sampled_from([1, 2, 3, 5, lm._CHUNK])
+_CHUNKS = st.sampled_from([1, 2, 3, 5, alphabet_module._CHUNK])
 
 # each example overwrites the same file, so one tmp_path serves them all
 _FUZZ = settings(

@@ -14,8 +14,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from convasr import lm as lm_module
-from convasr.alphabet import decode_labels, default_alphabet, encode_transcription, make_alphabet
+from convasr import alphabet as alphabet_module, cli
+from convasr.alphabet import decode_labels, default_alphabet, encode_transcription, load_alphabet, make_alphabet
 from convasr.criterion import (
     InfeasibleError,
     TransitionTable,
@@ -236,13 +236,12 @@ class TestArpaFiles:
         assert [_bits(t) for t in back.tables] == [_bits(t) for t in lm.tables]
 
 
-# every line break str.splitlines knows, "\r\n" and 1- to 4-byte characters
+# every line break str.splitlines knows, and "\r\n"
+_BREAKS = ["\r\n", "\r", "\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# 1- to 4-byte characters
+_WIDTHS = ["a", "\u00e9", "\u20ac", "\U0001f600"]
 _TEXT = st.lists(
-    st.one_of(
-        st.sampled_from(["\r\n", "\r", "\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
-                         "\u2028", "\u2029", "a", "\u00e9", "\u20ac", "\U0001f600"]),
-        st.characters(blacklist_categories=("Cs",)),
-    ),
+    st.one_of(st.sampled_from(_BREAKS + _WIDTHS), st.characters(blacklist_categories=("Cs",))),
     max_size=40,
 ).map("".join)
 # an undecodable byte: a stray continuation, never-valid bytes, sequences
@@ -265,7 +264,7 @@ class TestLineReader:
         path = tmp_path / "text"
         path.write_bytes(text.encode())
         for chunk in range(1, 9):
-            with mock.patch.object(lm_module, "_CHUNK", chunk):
+            with mock.patch.object(alphabet_module, "_CHUNK", chunk):
                 assert list(_lines(path, LMError)) == list(enumerate(text.splitlines(), 1))
 
     @_PROPS
@@ -281,11 +280,41 @@ class TestLineReader:
         assert re.fullmatch(r"line \d+: byte 0x[0-9a-f]{2} is not valid UTF-8", want[1])
         alphabet = default_alphabet()
         for chunk in range(1, 9):
-            with mock.patch.object(lm_module, "_CHUNK", chunk):
+            with mock.patch.object(alphabet_module, "_CHUNK", chunk):
                 assert _message(lambda p: list(_lines(p, LMError)), path) == want
                 assert _message(load_arpa, path) == (ArpaParseError, want[1])
                 assert _message(lambda p: load_lexicon(p, alphabet), path) == want
 
+
+
+@st.composite
+def _symbol_file(draw):
+    """Distinct symbols, the silence and repetition ones among them, each
+    ended by one or two line breaks (the last by up to two), so blank lines
+    come in too."""
+    char = st.one_of(
+        st.sampled_from(_WIDTHS),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="".join(_BREAKS)),
+    )
+    symbols = draw(st.lists(st.text(char, min_size=1, max_size=3), unique=True, max_size=8))
+    symbols = draw(st.permutations(list(dict.fromkeys(symbols + ["|", "2", "3"]))))
+    ends = [draw(st.lists(st.sampled_from(_BREAKS), min_size=1, max_size=2).map("".join)) for _ in symbols[1:]]
+    ends.append(draw(st.lists(st.sampled_from(_BREAKS), max_size=2).map("".join)))
+    return "".join(map("".join, zip(symbols, ends)))
+
+
+class TestOneLineRule:
+    @_PROPS
+    @given(text=_symbol_file())
+    def test_every_text_reader_breaks_where_splitlines_breaks(self, tmp_path, text):
+        path = tmp_path / "text"
+        path.write_bytes(text.encode())
+        lines = text.splitlines()
+        for chunk in range(1, 9):
+            with mock.patch.object(alphabet_module, "_CHUNK", chunk):
+                assert [line for _, line in _lines(path, LMError)] == lines
+                assert load_alphabet(path).symbols == tuple(line for line in lines if line)
+                assert cli._read_lines(path) == lines
 
 @st.composite
 def _smeared_lexicon(draw):
