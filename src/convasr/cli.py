@@ -6,7 +6,7 @@ the CONVASR_ prefix (dashes become underscores, e.g. CONVASR_BEAM_SIZE).
 
 Exit codes: 0 success, 1 input/processing error, 2 usage error,
 3 decoding produced no hypothesis (beam/threshold pruned everything,
-or the lexicon is empty).
+the lexicon is empty, or the emission file has no rows).
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def _cmd_train_toy(args) -> int:
 
 
 def _named(path, load, *rest):
-    """``load(path, *rest)``, its LMError, which names only a line, naming ``path`` too."""
+    """``load(path, *rest)``, its LMError, which names only a line or a word, naming ``path`` too."""
     try:
         return load(path, *rest)
     except LMError as exc:
@@ -216,11 +216,11 @@ def _cmd_decode(args) -> int:
     alphabet = _alphabet_from(args)
     tr = _read_transitions(args.transitions, f.shape[1])
     lm = _named(args.arpa, load_arpa)
-    if args.lexicon:
-        lexicon = _named(args.lexicon, load_lexicon, alphabet)
+    if args.lexicon:  # smear fails on a lexicon word the model lacks: name the lexicon too
+        lexicon = _named(args.lexicon, lambda path: smear(load_lexicon(path, alphabet), lm))
     else:
         lexicon = build_lexicon(sorted(w for w in lm.vocab if not w.startswith("<")), alphabet)
-    smear(lexicon, lm)
+        smear(lexicon, lm)
     cfg = DecoderConfig(
         alpha=args.alpha,
         beta=args.beta,

@@ -6,7 +6,8 @@ one state per frame, starts in an initial state, follows a link at each
 step and ends in an accepting state.  Three lattices share this form:
 
 * the blank-interleaved chain used by the per-frame-normalized
-  criterion (blanks optional, mandatory between identical neighbors);
+  criterion (blanks optional, mandatory between identical neighbors;
+  one unit builder places them and the decoder oracle's word silences);
 * the plain transcription chain (each label a state, stay-or-advance
   moves, no blanks) used by the globally normalized criterion;
 * the fully connected lattice over all labels, used as the global
@@ -161,9 +162,9 @@ def build_linear_graph(unit_labels, optional, num_frames: int) -> Lattice:
     Each unit occupies one or more consecutive frames; units flagged
     optional may be skipped entirely.  Moves go from a unit to itself or
     to the next unit, hopping over any run of skipped optional units.
-    This one chain shape covers the blank-interleaved lattice, the plain
-    transcription lattice, and the decoder's optional-silence spelling
-    lattices.
+    This one chain shape covers the plain transcription lattice and,
+    with units from ``_separated_units``, the blank-interleaved lattice
+    and the decoder oracle's silence-separated spelling lattices.
     """
     unit_labels = [int(u) for u in unit_labels]
     optional = [bool(o) for o in optional]
@@ -200,25 +201,44 @@ def build_linear_graph(unit_labels, optional, num_frames: int) -> Lattice:
     )
 
 
+def _separated_units(groups, separator: int, policy: str):
+    """Chain units (labels, optional flags) for a sequence of label groups.
+
+    A separator sits between groups and at both ends (one alone for no
+    groups, so each labeling is one path).  Between groups it is mandatory
+    where the juncture labels are identical (a chain cannot repeat a label)
+    or under policy "mandatory", else optional; policy "none" puts none.
+    Returns None when unrepresentable.
+    """
+    separated = policy != "none"
+    labels = [separator] if separated else []
+    optional = [True] if separated else []
+    for k, group in enumerate(groups):
+        same = k > 0 and groups[k - 1][-1] == group[0]
+        if k > 0 and separated:
+            labels.append(separator)
+            optional.append(not (same or policy == "mandatory"))
+        elif same:
+            return None
+        labels += group
+        optional += [False] * len(group)
+    if separated and groups:
+        labels.append(separator)
+        optional.append(True)
+    return (labels, optional) if labels else None
+
+
 def build_ctc_graph(labels, num_frames: int, blank_id: int) -> Lattice:
     """Blank-interleaved lattice: blanks optional between letters and at
     the ends, mandatory between identical consecutive labels."""
     labels = [int(x) for x in labels]
     if any(x == blank_id for x in labels):
         raise CriterionError("transcription must not contain the blank label")
-    units: list[int] = [blank_id]
-    optional: list[bool] = [True]
-    for i, lab in enumerate(labels):
-        units.append(lab)
-        optional.append(False)
-        units.append(blank_id)
-        # mandatory separator between identical neighbors
-        optional.append(not (i + 1 < len(labels) and labels[i + 1] == lab))
+    units, optional = _separated_units([[label] for label in labels], blank_id, "optional")
     try:
         return build_linear_graph(units, optional, num_frames)
     except InfeasibleError:
-        repeats = sum(1 for i in range(len(labels) - 1) if labels[i] == labels[i + 1])
-        need = max(len(labels) + repeats, 1)  # a chain fills at least one frame
+        need = max(optional.count(False), 1)  # a chain fills at least one frame
         raise InfeasibleError(
             f"transcription of {len(labels)} labels needs at least {need} "
             f"frames with mandatory blanks, got {num_frames}"

@@ -35,6 +35,9 @@ Only these starts are built: all of a key's that reaches kappa (so its
 first arrival and tie order stand), those onto a word end (their commits
 escape the cap) and those whose key a depth-1 stay shares (they may
 arrive first).  "logadd" mode, where all members' mass counts, builds all.
+
+The test oracle ``exhaustive_decode`` scores each word sequence on one
+chain, its silences placed by CTC's blank rule (``criterion._separated_units``).
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .criterion import (
     InfeasibleError,
     TransitionTable,
     _as_scores,
+    _separated_units,
     build_linear_graph,
     forward_score,
     logadd,
@@ -320,38 +324,6 @@ def decode(
     return results[:nbest]
 
 
-def _spelling_units(seq_spellings, sil: int, policy: str):
-    """Chain units for a word sequence: (labels, optional flags).
-
-    Silence units sit between words and at the ends (one for no words,
-    so each labeling is one path); an inter-word silence is mandatory
-    between identical juncture letters (the lattice cannot repeat a
-    label directly) or by policy.  Returns None when unrepresentable.
-    """
-    labels: list[int] = []
-    optional: list[bool] = []
-    if policy != "none":
-        labels.append(sil)
-        optional.append(True)
-    for k, spelling in enumerate(seq_spellings):
-        if k > 0:
-            same = seq_spellings[k - 1][-1] == spelling[0]
-            if policy == "none":
-                if same:
-                    return None
-            else:
-                labels.append(sil)
-                optional.append(not (same or policy == "mandatory"))
-        labels.extend(spelling)
-        optional.extend([False] * len(spelling))
-    if policy != "none" and seq_spellings:
-        labels.append(sil)
-        optional.append(True)
-    if not labels:
-        return None
-    return labels, optional
-
-
 def exhaustive_decode(
     emissions,
     transitions: TransitionTable,
@@ -377,7 +349,7 @@ def exhaustive_decode(
     best: DecodeResult | None = None
     for k in range(0, max_words + 1):
         for seq in itertools.product(range(lexicon.num_words), repeat=k):
-            units = _spelling_units([lexicon.spellings[w] for w in seq], sil, cfg.silence)
+            units = _separated_units([lexicon.spellings[w] for w in seq], sil, cfg.silence)
             if units is None:
                 continue
             try:

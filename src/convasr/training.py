@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import Alphabet, collapse_path, decode_labels, encode_transcription, make_alphabet
+from .alphabet import REP2, REP3, SILENCE, Alphabet, AlphabetError, collapse_path, decode_labels
+from .alphabet import encode_transcription, make_alphabet
 from .acoustic import (
     AcousticError,
     ConvLayerSpec,
@@ -48,7 +49,25 @@ def make_toy_dataset(cfg: ToyTaskConfig):
     """Returns (alphabet, list of (FeatureSequence, transcription))."""
     if len(cfg.tone_hz) < len(cfg.letters):
         raise ValueError("need one tone frequency per letter")
-    alphabet = make_alphabet(cfg.letters)
+    if cfg.num_samples < 1:
+        raise ValueError(f"toy task 'num_samples' must be at least 1, got {cfg.num_samples}")
+    if cfg.min_word_len > cfg.max_word_len:
+        raise ValueError(
+            f"toy task 'min_word_len' {cfg.min_word_len} exceeds 'max_word_len' {cfg.max_word_len}"
+        )
+    if cfg.seed < 0:
+        raise ValueError(f"toy task 'seed' must be non-negative, got {cfg.seed}")
+    need = 2 if cfg.max_word_len > 1 else 1  # no adjacent repeats: longer words alternate letters
+    try:  # the transcriptions are read back through the alphabet: each letter must spell itself
+        alphabet = make_alphabet(cfg.letters)
+        spelled = encode_transcription(cfg.letters, alphabet) == list(range(len(cfg.letters)))
+    except AlphabetError:
+        spelled = False
+    if not spelled or len(cfg.letters) < need:
+        raise ValueError(
+            f"toy task 'letters' must be {need} or more distinct lowercase symbols, none of them "
+            f"whitespace, {SILENCE!r}, {REP2!r} or {REP3!r}; got {cfg.letters!r}"
+        )
     rng = np.random.default_rng(cfg.seed)
     samples = []
     for _ in range(cfg.num_samples):

@@ -104,6 +104,8 @@ def enumerate_chain_paths(units, optional, num_frames):
 
 def enumerate_ctc_paths(labels, blank, num_frames):
     """Valid blank-interleaved frame labelings, textbook recursion."""
+    if num_frames < 1:  # every path visits a state at frame 0
+        return []
     ext = [blank]
     for lab in labels:
         ext += [lab, blank]

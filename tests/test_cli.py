@@ -139,6 +139,7 @@ class TestMalformedInputExits:
         [
             ("lm.arpa", b"\\data\\\nngram 1=x\n", "line 2: cannot parse count line 'ngram 1=x'"),
             ("lex.txt", b"cat\tc a t\ndog d o g\n", "line 2: expected 'word<TAB>spelling'"),
+            ("lex.txt", b"cat\tc a t\nemu\te m u\n", "out-of-vocabulary word: 'emu'"),
         ],
     )
     def test_decode_names_the_model_file_that_fails(self, tmp_path, bad, data, where):
@@ -364,6 +365,13 @@ class TestTrainToyCommand:
             ({"stop_ler": True}, "'stop_ler'"),
             ({"layers": 5}, "'layers'"),
             ({"epochs": 0}, "'epochs'"),
+            ({"min_word_len": 4, "max_word_len": 2}, "'min_word_len'"),
+            ({"seed": -1}, "'seed'"),
+            ({"letters": ""}, "'letters'"),
+            ({"letters": "ABC"}, "'letters'"),
+            ({"letters": "aab"}, "'letters'"),
+            ({"letters": "ab|"}, "'letters'"),
+            ({"num_samples": 0}, "'num_samples'"),
         ],
     )
     def test_mistyped_key_or_layer_row_named(self, tmp_path, capsys, extra, named):
@@ -375,6 +383,16 @@ class TestTrainToyCommand:
         code, _, err = run(capsys, "train-toy", "--config", tmp_path / "cfg.json")
         assert code == 1 and err.startswith("error:") and named in err
         assert "Traceback" not in err
+
+    def test_one_letter_for_longer_words_named(self, tmp_path):
+        # a word of two letters or more alternates two: one letter used to loop forever
+        cfg = dict(
+            num_samples=4, epochs=1, learning_rate=0.02, seed=1, letters="a",
+            checkpoint=str(tmp_path / "t.ckpt"), curve=str(tmp_path / "c.csv"),
+        )
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code, err = run_subprocess("train-toy", "--config", tmp_path / "cfg.json")
+        assert code == 1 and err.startswith("error: toy task 'letters'") and "Traceback" not in err
 
     @pytest.mark.parametrize("top", [5, [], "cfg", None])
     def test_top_level_not_an_object(self, tmp_path, capsys, top):
@@ -530,6 +548,15 @@ class TestDecodeCommand:
             capsys, "decode", "--emissions", tmp_path / "e.bin", "--alphabet", tmp_path / "ab.txt", *args
         )
         assert code == 3 and out == "" and err == "error: empty lexicon\n"
+
+    def test_empty_emission_file_exit_code(self, tmp_path):
+        alphabet = self.setup_fixture(tmp_path)
+        fileio.write_matrix(tmp_path / "none.bin", np.zeros((0, len(alphabet)), dtype=np.float32))
+        code, err = run_subprocess(
+            "decode", "--emissions", tmp_path / "none.bin", "--arpa", tmp_path / "lm.arpa",
+            "--lexicon", tmp_path / "lex.txt", "--alphabet", tmp_path / "ab.txt",
+        )
+        assert code == 3 and err == "error: empty emission table\n"
 
     def test_word_deeper_than_the_recursion_limit_decodes(self, tmp_path, capsys):
         self.setup_fixture(tmp_path)

@@ -338,8 +338,7 @@ class TestBeamEqualsOracle:
     def test_alpha_zero_beta_zero_picks_best_viterbi_word(self, tmp_path, alphabet):
         # single-word utterances: the decoder must pick the word whose
         # constrained best-path score is highest
-        from convasr.criterion import build_linear_graph, forward_score
-        from convasr.decoder import _spelling_units
+        from convasr.criterion import _separated_units, build_linear_graph, forward_score
 
         rng = np.random.default_rng(13)
         words = ["ab", "cad", "bc", "da"]
@@ -353,7 +352,7 @@ class TestBeamEqualsOracle:
             got = decode(f, tr, lm, lexicon, cfg, nbest=1)[0]
             best_word, best_score = None, -math.inf
             for wi, w in enumerate(words):
-                units = _spelling_units([lexicon.spellings[wi]], alphabet.silence_id, "optional")
+                units = _separated_units([lexicon.spellings[wi]], alphabet.silence_id, "optional")
                 try:
                     graph = build_linear_graph(units[0], units[1], T)
                 except Exception:
@@ -450,8 +449,7 @@ class TestBeamBehavior:
         # 2-letter words over 3 frames: only single-word sequences fit and
         # bigram states keep them apart, so the per-sequence mass is the
         # full forward score of that word's spelling lattice
-        from convasr.criterion import build_linear_graph, forward_score
-        from convasr.decoder import _spelling_units
+        from convasr.criterion import _separated_units, build_linear_graph, forward_score
         from convasr.lm import LN10, sentence_logprob
 
         rng = np.random.default_rng(16)
@@ -464,7 +462,7 @@ class TestBeamBehavior:
             cfg = exhaustive_cfg(mode="logadd", alpha=0.7, beta=0.3)
             results = {tuple(r.words): r for r in decode(f, tr, lm, lexicon, cfg, nbest=50)}
             for wi, w in enumerate(words):
-                units = _spelling_units([lexicon.spellings[wi]], alphabet.silence_id, "optional")
+                units = _separated_units([lexicon.spellings[wi]], alphabet.silence_id, "optional")
                 graph = build_linear_graph(units[0], units[1], 3)
                 acoustic, _ = forward_score(graph, f, tr, "logadd")
                 want = acoustic + cfg.alpha * LN10 * sentence_logprob(lm, [w]) + cfg.beta

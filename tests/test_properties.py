@@ -190,6 +190,25 @@ class TestChainLattice:
         assert abs(forward_backward(graph, f, tr).log_z - la) <= 1e-9
 
 
+class TestCtcLattice:
+    @_PROPS
+    @given(st.lists(st.integers(0, 2), max_size=6), st.integers(0, 12))
+    def test_walks_and_frame_count_match_the_textbook_recursion(self, labels, num_frames):
+        blank = 3
+        want = oracles.enumerate_ctc_paths(labels, blank, num_frames)
+        try:
+            graph = build_ctc_graph(labels, num_frames, blank)
+        except InfeasibleError as exc:
+            assert want == []
+            need = int(re.search(r"needs at least (\d+) frames", str(exc)).group(1))
+            # the smallest feasible count: one frame per label and per mandatory blank
+            assert need == max(len(labels) + sum(a == b for a, b in zip(labels, labels[1:])), 1)
+            assert oracles.enumerate_ctc_paths(labels, blank, need)
+            assert not oracles.enumerate_ctc_paths(labels, blank, need - 1)
+            return
+        assert want and sorted(oracles.enumerate_graph_paths(graph)) == sorted(want)
+
+
 class TestTranscriptionCoding:
     @_PROPS
     @given(st.text(alphabet="abcxyzABZ' \t\n\r\x0b\x0c", max_size=40))
