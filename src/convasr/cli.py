@@ -4,9 +4,9 @@ Subcommands: features, loss, viterbi, train-toy, decode, ler, wer,
 bench.  Any long flag can be overridden through the environment with
 the CONVASR_ prefix (dashes become underscores, e.g. CONVASR_BEAM_SIZE).
 
-Exit codes: 0 success, 1 input/processing error, 2 usage error,
-3 decoding produced no hypothesis (beam/threshold pruned everything,
-the lexicon is empty, or the emission file has no rows).
+Exit codes: 0 success, 1 input/processing error (decode's alphabet or
+transitions not matching the emissions included), 2 usage error, 3 no
+hypothesis (all pruned, an empty lexicon, or an emission file with no rows).
 """
 
 from __future__ import annotations
@@ -178,8 +178,6 @@ def _cmd_train_toy(args) -> int:
             raise ValueError(f"config is missing required key {key!r}")
     task = _config_from(training.ToyTaskConfig, cfg, _TASK_KEYS)
     train_cfg = _config_from(training.TrainConfig, cfg, _TRAIN_KEYS)
-    if train_cfg.epochs < 1:
-        raise ValueError(f"config key 'epochs' must be at least 1, got {train_cfg.epochs}")
     alphabet, data = training.make_toy_dataset(task)
     if "layers" in cfg:
         if not isinstance(cfg["layers"], list):

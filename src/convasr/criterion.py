@@ -274,19 +274,21 @@ def _as_scores(emissions) -> np.ndarray:
     return EmissionTable(np.asarray(emissions, dtype=np.float64)).scores
 
 
+def _checked_model(emissions, tr: TransitionTable) -> np.ndarray:
+    """The (T, L) emission scores, checked finite and against the transition table."""
+    f = _as_scores(emissions)
+    if tr.num_labels != f.shape[1]:
+        raise CriterionError(f"transition table covers {tr.num_labels} labels, emissions {f.shape[1]}")
+    return f
+
+
 def _state_scores(graph: Lattice, emissions, tr: TransitionTable):
     """Checked tables every pass uses: emission (T, S), link score
     trans[labels[src], labels[dst]] (K,), and start score (S,), -inf
     outside the initial states."""
-    f = _as_scores(emissions)
+    f = _checked_model(emissions, tr)
     if f.shape[0] != graph.num_frames:
-        raise CriterionError(
-            f"graph spans {graph.num_frames} frames but emissions have {f.shape[0]}"
-        )
-    if tr.num_labels != f.shape[1]:
-        raise CriterionError(
-            f"transition table covers {tr.num_labels} labels, emissions {f.shape[1]}"
-        )
+        raise CriterionError(f"graph spans {graph.num_frames} frames but emissions have {f.shape[0]}")
     if graph.labels.min() < 0 or graph.labels.max() >= f.shape[1]:
         raise CriterionError("graph refers to labels outside the emission table")
     lab = graph.labels

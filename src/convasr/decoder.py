@@ -49,9 +49,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import (
+    CriterionError,
     InfeasibleError,
     TransitionTable,
-    _as_scores,
+    _checked_model,
     _separated_units,
     build_linear_graph,
     forward_score,
@@ -130,18 +131,16 @@ def prune(total: np.ndarray, at_root: np.ndarray, cfg: DecoderConfig) -> np.ndar
 
 def _checked_scores(emissions, transitions: TransitionTable, lexicon: LexiconTrie) -> np.ndarray:
     """The (T, L) emission scores, checked finite and against the model."""
-    f = _as_scores(emissions)
+    f = _checked_model(emissions, transitions)
     if f.shape[0] < 1:
         raise DecodeError("empty emission table")
     if lexicon.num_words == 0:
         raise DecodeError("empty lexicon")
     if f.shape[1] != len(lexicon.alphabet):
-        raise DecodeError(
+        raise CriterionError(
             f"emissions cover {f.shape[1]} labels but the lexicon alphabet "
             f"has {len(lexicon.alphabet)}"
         )
-    if transitions.num_labels != f.shape[1]:
-        raise DecodeError("transition table does not match the emission labels")
     return f
 
 
@@ -156,9 +155,9 @@ def decode(
     """Beam search for the best word sequences given emission scores.
 
     Returns up to ``nbest`` results sorted by descending total score.
-    Raises CriterionError on non-finite emissions and DecodeError when
-    no complete hypothesis survives (beam or threshold too tight, or the
-    utterance cannot fit any word).
+    Raises CriterionError on non-finite emissions or a model that does not
+    match their labels, and DecodeError when no complete hypothesis can come
+    out (no frames, no words, all pruned, or too short for any word).
     """
     if nbest < 1:
         raise ValueError("nbest must be >= 1")

@@ -44,30 +44,33 @@ class ToyTaskConfig:
     noise_std: float = 0.05
     seed: int = 0
 
+    def __post_init__(self):
+        if len(self.tone_hz) < len(self.letters):
+            raise ValueError("toy task 'tone_hz' needs one tone frequency per letter")
+        if self.num_samples < 1:
+            raise ValueError(f"toy task 'num_samples' must be at least 1, got {self.num_samples}")
+        if not 1 <= self.min_word_len <= self.max_word_len:
+            raise ValueError(
+                f"toy task 'min_word_len' {self.min_word_len} is not from 1 to 'max_word_len' {self.max_word_len}"
+            )
+        if self.seed < 0:
+            raise ValueError(f"toy task 'seed' must be non-negative, got {self.seed}")
+        need = 2 if self.max_word_len > 1 else 1  # no adjacent repeats: longer words alternate letters
+        try:  # the transcriptions are read back through the alphabet: each letter must spell itself
+            alphabet = make_alphabet(self.letters)
+            spelled = encode_transcription(self.letters, alphabet) == list(range(len(self.letters)))
+        except AlphabetError:
+            spelled = False
+        if not spelled or len(self.letters) < need:
+            raise ValueError(
+                f"toy task 'letters' must be {need} or more distinct lowercase symbols, none of them "
+                f"whitespace, {SILENCE!r}, {REP2!r} or {REP3!r}; got {self.letters!r}"
+            )
+
 
 def make_toy_dataset(cfg: ToyTaskConfig):
-    """Returns (alphabet, list of (FeatureSequence, transcription))."""
-    if len(cfg.tone_hz) < len(cfg.letters):
-        raise ValueError("need one tone frequency per letter")
-    if cfg.num_samples < 1:
-        raise ValueError(f"toy task 'num_samples' must be at least 1, got {cfg.num_samples}")
-    if cfg.min_word_len > cfg.max_word_len:
-        raise ValueError(
-            f"toy task 'min_word_len' {cfg.min_word_len} exceeds 'max_word_len' {cfg.max_word_len}"
-        )
-    if cfg.seed < 0:
-        raise ValueError(f"toy task 'seed' must be non-negative, got {cfg.seed}")
-    need = 2 if cfg.max_word_len > 1 else 1  # no adjacent repeats: longer words alternate letters
-    try:  # the transcriptions are read back through the alphabet: each letter must spell itself
-        alphabet = make_alphabet(cfg.letters)
-        spelled = encode_transcription(cfg.letters, alphabet) == list(range(len(cfg.letters)))
-    except AlphabetError:
-        spelled = False
-    if not spelled or len(cfg.letters) < need:
-        raise ValueError(
-            f"toy task 'letters' must be {need} or more distinct lowercase symbols, none of them "
-            f"whitespace, {SILENCE!r}, {REP2!r} or {REP3!r}; got {cfg.letters!r}"
-        )
+    """Renders a task, checked when built, as (alphabet, list of (FeatureSequence, transcription))."""
+    alphabet = make_alphabet(cfg.letters)
     rng = np.random.default_rng(cfg.seed)
     samples = []
     for _ in range(cfg.num_samples):
@@ -94,12 +97,25 @@ def make_toy_dataset(cfg: ToyTaskConfig):
 
 @dataclass
 class TrainConfig:
+    """SGD settings; ``__post_init__`` checks each field against its range."""
     epochs: int = 50
     learning_rate: float = 0.02
     clip_norm: float = 1.0  # global L2 clip over all gradients
     holdout_fraction: float = 0.2
     seed: int = 0
     stop_ler: float | None = None  # stop early once held-out LER drops below
+
+    def __post_init__(self):
+        for key, ok, want in (
+            ("epochs", self.epochs >= 1, "at least 1"),
+            ("learning_rate", 0.0 <= self.learning_rate < np.inf, "finite and >= 0"),
+            ("clip_norm", self.clip_norm > 0, "> 0"),
+            ("holdout_fraction", 0.0 <= self.holdout_fraction < 1.0, "in [0, 1)"),
+            ("seed", self.seed >= 0, "non-negative"),
+            ("stop_ler", self.stop_ler is None or self.stop_ler > 0, "None or > 0"),
+        ):
+            if not ok:
+                raise ValueError(f"training {key!r} must be {want}, got {getattr(self, key)!r}")
 
 
 @dataclass
@@ -123,7 +139,7 @@ class ToyTrainResult:
 
 def _clip_gradients(arrays, clip_norm: float) -> None:
     total = np.sqrt(sum(float(np.sum(a * a)) for a in arrays))
-    if clip_norm > 0 and total > clip_norm:
+    if total > clip_norm:
         scale = clip_norm / total
         for a in arrays:
             a *= scale

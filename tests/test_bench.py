@@ -71,14 +71,19 @@ class TestRun:
 
     def test_rerun_with_doubled_repetitions_agrees(self):
         # medians are stable: doubling the repetition count moves the
-        # reported median by less than 20%
+        # reported median by less than 20%.  Wall-clock speed drifts, so
+        # the two counts run in adjacent pairs, each going first in turn,
+        # and the typical pair is judged
         base = BenchConfig(frames=150, transcription=40, batch_sizes=(1,),
                            repetitions=5, criteria=("asg",), seed=2)
         doubled = BenchConfig(frames=150, transcription=40, batch_sizes=(1,),
                               repetitions=10, criteria=("asg",), seed=2)
-        m1 = run_bench(base)[0].median_ms
-        m2 = run_bench(doubled)[0].median_ms
-        assert abs(m1 - m2) / max(m1, m2) < 0.20
+        gaps = []
+        for turn in range(8):
+            pair = (base, doubled) if turn % 2 == 0 else (doubled, base)
+            m = {cfg.repetitions: run_bench(cfg)[0].median_ms for cfg in pair}
+            gaps.append(abs(m[5] - m[10]) / max(m[5], m[10]))
+        assert np.median(gaps) < 0.20, gaps
 
     def test_table_lists_every_row(self):
         rows = [

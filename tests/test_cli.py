@@ -366,12 +366,19 @@ class TestTrainToyCommand:
             ({"layers": 5}, "'layers'"),
             ({"epochs": 0}, "'epochs'"),
             ({"min_word_len": 4, "max_word_len": 2}, "'min_word_len'"),
+            ({"min_word_len": 0, "max_word_len": 0}, "'min_word_len'"),
             ({"seed": -1}, "'seed'"),
             ({"letters": ""}, "'letters'"),
             ({"letters": "ABC"}, "'letters'"),
             ({"letters": "aab"}, "'letters'"),
             ({"letters": "ab|"}, "'letters'"),
             ({"num_samples": 0}, "'num_samples'"),
+            ({"learning_rate": -0.5}, "'learning_rate'"),
+            ({"learning_rate": math.nan}, "'learning_rate'"),
+            ({"clip_norm": -1}, "'clip_norm'"),
+            ({"clip_norm": 0}, "'clip_norm'"),
+            ({"holdout_fraction": 1.5}, "'holdout_fraction'"),
+            ({"holdout_fraction": -1}, "'holdout_fraction'"),
         ],
     )
     def test_mistyped_key_or_layer_row_named(self, tmp_path, capsys, extra, named):
@@ -557,6 +564,28 @@ class TestDecodeCommand:
             "--lexicon", tmp_path / "lex.txt", "--alphabet", tmp_path / "ab.txt",
         )
         assert code == 3 and err == "error: empty emission table\n"
+
+    def test_alphabet_not_matching_the_emission_labels_is_an_input_error(self, tmp_path):
+        self.setup_fixture(tmp_path)  # a 7-symbol alphabet
+        fileio.write_matrix(tmp_path / "e30.bin", np.zeros((5, 30), dtype=np.float32))
+        code, err = run_subprocess(
+            "decode", "--emissions", tmp_path / "e30.bin", "--arpa", tmp_path / "lm.arpa",
+            "--lexicon", tmp_path / "lex.txt", "--alphabet", tmp_path / "ab.txt",
+        )
+        assert code == 1 and err == "error: emissions cover 30 labels but the lexicon alphabet has 7\n"
+
+    def test_transitions_not_matching_the_emission_labels_fail_as_in_loss_and_viterbi(self, tmp_path):
+        self.setup_fixture(tmp_path)
+        fileio.write_matrix(tmp_path / "e30.bin", np.zeros((5, 30), dtype=np.float32))
+        fileio.write_transitions(tmp_path / "t5.tr", TransitionTable.zeros(5))
+        model = ["--emissions", tmp_path / "e30.bin", "--transitions", tmp_path / "t5.tr"]
+        for args in (
+            ["decode", *model, "--arpa", tmp_path / "lm.arpa"],
+            ["loss", *model, "--transcription", "cab"],
+            ["viterbi", *model],
+        ):
+            code, err = run_subprocess(*args)
+            assert (code, err) == (1, "error: transition table covers 5 labels, emissions 30\n"), args
 
     def test_word_deeper_than_the_recursion_limit_decodes(self, tmp_path, capsys):
         self.setup_fixture(tmp_path)

@@ -168,7 +168,7 @@ class TestDecodeBasics:
     def test_label_count_mismatch_rejected(self, tmp_path, alphabet):
         rng = np.random.default_rng(5)
         lm, lexicon = make_setup(tmp_path, ["ab"], rng, alphabet)
-        with pytest.raises(DecodeError, match="labels"):
+        with pytest.raises(CriterionError, match="labels"):
             decode(np.zeros((3, 5)), TransitionTable.zeros(5), lm, lexicon, exhaustive_cfg())
 
     def test_too_short_for_any_word_fails_explicitly(self, tmp_path, alphabet):

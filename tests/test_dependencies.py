@@ -2,7 +2,9 @@
 imports from the standard library, numpy or the package itself.  Within
 the package the imports form no cycle, and the lattice module, whose
 chain rule the decoder shares, sits at the bottom: it imports no other
-module of the package."""
+module of the package.  Only the decoder raises ``DecodeError``, the CLI's
+exit 3, and only for the documented cases where no hypothesis can come
+out: an input check raises a ``ValueError`` (exit 1) instead."""
 
 import ast
 import pathlib
@@ -62,7 +64,8 @@ def on_or_behind_a_cycle(graph: dict) -> set:
             del left[name]
 
 
-PACKAGE = package_imports({p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES})
+TREES = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+PACKAGE = package_imports(TREES)
 
 
 def test_package_imports_form_no_cycle():
@@ -83,3 +86,45 @@ def test_a_two_module_cycle_is_caught():
     }
     assert package_imports(trees)["b"] == {"a"}
     assert on_or_behind_a_cycle(package_imports(trees)) == {"a", "b", "c"}
+
+
+# the documented exit-3 cases (README): the messages ``raise DecodeError`` may start with
+NO_HYPOTHESIS = ("empty emission table", "empty lexicon", "no complete hypothesis", "no word sequence is feasible")
+
+
+def decode_error_raises(trees: dict) -> list:
+    """(module, message) of each ``raise DecodeError(...)``; the message is
+    None unless it is one string literal."""
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            call = node.exc if isinstance(node, ast.Raise) else None
+            if not isinstance(call, ast.Call):
+                continue
+            if getattr(call.func, "id", getattr(call.func, "attr", None)) == "DecodeError":
+                arg = call.args[0] if call.args else None
+                found.append((name, arg.value if isinstance(arg, ast.Constant) else None))
+    return found
+
+
+def undocumented(raises: list) -> list:
+    return [(name, msg) for name, msg in raises if name != "decoder" or not str(msg).startswith(NO_HYPOTHESIS)]
+
+
+def test_decode_error_only_where_no_hypothesis_can_come_out():
+    raises = decode_error_raises(TREES)
+    assert undocumented(raises) == []
+    # each documented case is raised, once
+    assert sorted(next(p for p in NO_HYPOTHESIS if msg.startswith(p)) for _, msg in raises) == sorted(NO_HYPOTHESIS)
+
+
+def test_an_input_check_raising_decode_error_is_caught():
+    trees = {
+        "decoder": ast.parse(
+            'raise DecodeError("empty lexicon")\n'
+            'raise DecodeError(f"emissions cover {n} labels")\n'
+            'raise ValueError("alphabet mismatch")'
+        ),
+        "cli": ast.parse('raise decoder.DecodeError("empty lexicon")'),
+    }
+    assert undocumented(decode_error_raises(trees)) == [("decoder", None), ("cli", "empty lexicon")]

@@ -1,7 +1,8 @@
 """Property-based checks of invariants the criteria, the transcription
-coding, the ARPA files, the loaders' line reader and the decoder state
-for every input."""
+coding, the ARPA files, the loaders' line reader, the decoder and the
+run configs state for every input."""
 
+import dataclasses
 import math
 import re
 import sys
@@ -16,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from convasr import alphabet as alphabet_module, cli
 from convasr.alphabet import decode_labels, default_alphabet, encode_transcription, load_alphabet, make_alphabet
+from convasr.bench import BenchConfig, run_bench
 from convasr.criterion import (
     InfeasibleError,
     TransitionTable,
@@ -46,6 +48,7 @@ from convasr.lm import (
     sentence_logprob,
     smear,
 )
+from convasr.training import ToyTaskConfig, TrainConfig, default_toy_network, make_toy_dataset, train_toy
 
 import oracles
 from conftest import make_bigram_arpa, random_transitions
@@ -463,3 +466,172 @@ class TestDecoderAgainstReference:
         lexicon = smear(lexicon, lm)
         want = _hex_nbest(oracles.reference_decode, f, tr, lm, lexicon, cfg)
         assert _hex_nbest(decode, f, tr, lm, lexicon, cfg) == want
+
+
+@st.composite
+def _config_fields(draw, fields):
+    """A value per field: drawn from the field's in-range strategy, or, for
+    none or one or two fields drawn to break, the out-of-range one.
+    Fields are coupled (word lengths, letters), so tests judge each draw
+    on its own."""
+    broken = draw(st.just(set()) | st.sets(st.sampled_from(sorted(fields)), min_size=1, max_size=2))
+    return {k: draw(bad if k in broken else ok) for k, (ok, bad) in fields.items()}
+
+
+def _checked(build, names, bad):
+    """``build()`` when ``bad`` (field -> out of range) marks no field; else
+    None, once it raised a ValueError naming a field marked bad (``names``
+    maps a field to how the messages name it)."""
+    bad = {k for k, out in bad.items() if out}
+    try:
+        cfg = build()
+    except ValueError as exc:
+        assert any(names[k] in str(exc) for k in bad), (str(exc), bad)
+        return None
+    assert not bad, bad
+    return cfg
+
+
+def _quoted(fields):
+    return {k: f"'{k}'" for k in fields}
+
+
+_NAN, _INF = math.nan, math.inf
+_TOY_LETTERS = "abcxyz"  # the rest of the pool cannot spell itself: "A", "|", "2", " "
+_TOY = {
+    "letters": (
+        st.lists(st.sampled_from(_TOY_LETTERS), min_size=2, max_size=4, unique=True).map("".join),
+        st.text(alphabet=_TOY_LETTERS + "A|2 ", max_size=4),
+    ),
+    "num_samples": (st.integers(1, 3), st.integers(-2, 0)),
+    "min_word_len": (st.integers(1, 2), st.integers(3, 5) | st.integers(-1, 0)),
+    "max_word_len": (st.integers(2, 4), st.integers(-1, 1)),
+    "tone_hz": (st.just((300.0, 700.0, 1300.0, 2200.0)), st.sampled_from([(), (300.0,)])),
+    "seed": (st.integers(0, 2**32 - 1), st.integers(-5, -1)),
+}
+_TRAIN = {
+    "epochs": (st.integers(1, 3), st.integers(-1, 0)),
+    "learning_rate": (st.floats(0.0, 0.5), st.sampled_from([-0.5, -1e-300, _NAN, _INF, -_INF])),
+    "clip_norm": (st.floats(1e-3, 5.0) | st.just(_INF), st.sampled_from([0.0, -1.0, _NAN, -_INF])),
+    "holdout_fraction": (st.floats(0.0, 0.99), st.sampled_from([1.0, 1.5, -0.1, _NAN, _INF])),
+    "seed": (st.integers(0, 2**32 - 1), st.integers(-5, -1)),
+    "stop_ler": (st.none() | st.floats(1e-3, 1.0) | st.just(_INF), st.sampled_from([0.0, -0.5, _NAN, -_INF])),
+}
+_DECODER = {
+    "alpha": (st.floats(0.0, 2.0), st.sampled_from([-1.0, _NAN, _INF, -_INF])),
+    "beta": (st.floats(-2.0, 2.0), st.sampled_from([_NAN, _INF, -_INF])),
+    "beam_size": (st.integers(1, 3), st.integers(-1, 0)),
+    "beam_threshold": (st.floats(1e-3, 5.0) | st.just(_INF), st.sampled_from([0.0, -1.0, _NAN, -_INF])),
+    "mode": (st.sampled_from(["max", "logadd"]), st.sampled_from(["sum", "MAX"])),
+    "silence": (st.sampled_from(["none", "optional", "mandatory"]), st.sampled_from(["always", ""])),
+}
+_BENCH = {
+    "frames": (st.integers(6, 8), st.integers(0, 2)),
+    "vocab": (st.integers(3, 5), st.integers(0, 1)),
+    "transcription": (st.integers(1, 6), st.integers(-1, 0)),
+    "batch_sizes": (st.lists(st.integers(1, 2), max_size=2).map(tuple), st.sampled_from([(0,), (1, -1)])),
+    "repetitions": (st.integers(3, 4), st.integers(0, 2)),
+    "criteria": (st.lists(st.sampled_from(["asg", "ctc"]), max_size=2).map(tuple), st.sampled_from([("hmm",), ("asg", "CTC")])),
+}
+
+
+@pytest.fixture(scope="module")
+def four_utterances():
+    return make_toy_dataset(ToyTaskConfig(num_samples=4, seed=3))
+
+
+@pytest.fixture(scope="module")
+def tiny_decode(tmp_path_factory):
+    alphabet = make_alphabet("abc")
+    words = ["ab", "c", "ca"]
+    lm = load_arpa(make_bigram_arpa(tmp_path_factory.mktemp("lm") / "lm.arpa", words, np.random.default_rng(0)))
+    f = np.random.default_rng(1).normal(size=(5, len(alphabet)))
+    return f, TransitionTable.zeros(len(alphabet)), lm, smear(build_lexicon(words, alphabet), lm)
+
+
+class TestConfigsCheckThemselves:
+    """Each run config either builds or raises a ValueError naming a field
+    outside its range, and what builds runs."""
+
+    @_PROPS
+    @given(_config_fields(_TOY))
+    def test_toy_task(self, v):
+        letters, lo, hi = v["letters"], v["min_word_len"], v["max_word_len"]
+        need = 2 if hi > 1 else 1  # one letter cannot alternate: it used to loop forever
+        bad = {
+            "letters": not len(set(letters)) == len(letters) >= need or not set(letters) <= set(_TOY_LETTERS),
+            "num_samples": v["num_samples"] < 1,
+            "min_word_len": not 1 <= lo <= hi,
+            "max_word_len": lo > hi,
+            "tone_hz": len(v["tone_hz"]) < len(letters),
+            "seed": v["seed"] < 0,
+        }
+        cfg = _checked(lambda: ToyTaskConfig(**v), _quoted(v), bad)
+        if cfg is None:
+            return
+        alphabet, samples = make_toy_dataset(cfg)
+        assert alphabet.symbols[: len(letters)] == tuple(letters) and len(samples) == v["num_samples"]
+        for _, text in samples:
+            assert lo <= len(text) <= hi and set(text) <= set(letters)
+            assert all(a != b for a, b in zip(text, text[1:]))
+
+    @_PROPS
+    @given(_config_fields(_TRAIN))
+    def test_train(self, four_utterances, v):
+        bad = {
+            "epochs": v["epochs"] < 1,
+            "learning_rate": not 0.0 <= v["learning_rate"] < math.inf,
+            "clip_norm": not v["clip_norm"] > 0.0,
+            "holdout_fraction": not 0.0 <= v["holdout_fraction"] < 1.0,
+            "seed": v["seed"] < 0,
+            "stop_ler": v["stop_ler"] is not None and not v["stop_ler"] > 0.0,
+        }
+        cfg = _checked(lambda: TrainConfig(**v), _quoted(v), bad)
+        if cfg is None:
+            return
+        alphabet, data = four_utterances
+        spec = default_toy_network(39, len(alphabet))
+        result = train_toy(data, alphabet, spec, dataclasses.replace(cfg, epochs=1))
+        assert len(result.curve) == 1 and math.isfinite(result.curve[0].train_loss)
+
+    @_PROPS
+    @given(_config_fields(_DECODER))
+    def test_decoder(self, tiny_decode, v):
+        bad = {
+            "alpha": not 0.0 <= v["alpha"] < math.inf,
+            "beta": not math.isfinite(v["beta"]),
+            "beam_size": v["beam_size"] < 1,
+            "beam_threshold": not v["beam_threshold"] > 0.0,
+            "mode": v["mode"] not in ("max", "logadd"),
+            "silence": v["silence"] not in ("none", "optional", "mandatory"),
+        }
+        cfg = _checked(lambda: DecoderConfig(**v), {k: k for k in v}, bad)
+        if cfg is None:
+            return
+        try:
+            results = decode(*tiny_decode, cfg, nbest=3)
+        except DecodeError:  # all pruned: exit 3
+            return
+        for r in results:
+            lm_term = cfg.alpha * r.lm if cfg.alpha else 0.0
+            assert math.isclose(r.score, r.acoustic + lm_term + cfg.beta * r.num_words, rel_tol=1e-12, abs_tol=1e-9)
+
+    @_PROPS
+    @given(_config_fields(_BENCH))
+    def test_bench(self, v):
+        frames, vocab, size = v["frames"], v["vocab"], v["transcription"]
+        bad = {
+            "frames": size > frames,
+            "vocab": vocab - 1 < min(size, 2),
+            "transcription": not 1 <= size <= frames or vocab - 1 < min(size, 2),
+            "batch_sizes": any(b < 1 for b in v["batch_sizes"]),
+            "repetitions": v["repetitions"] < 3,
+            "criteria": any(c not in ("asg", "ctc") for c in v["criteria"]),
+        }
+        # these messages name the fields in words
+        words = {**{k: k for k in v}, "frames": "frame", "batch_sizes": "batch sizes", "criteria": "criterion"}
+        cfg = _checked(lambda: BenchConfig(**v), words, bad)
+        if cfg is None:
+            return
+        rows = run_bench(cfg)
+        assert [(r.criterion, r.batch) for r in rows] == [(c, b) for c in cfg.criteria for b in cfg.batch_sizes]
