@@ -366,7 +366,6 @@ class TestTrainToyCommand:
             ({"layers": 5}, "'layers'"),
             ({"epochs": 0}, "'epochs'"),
             ({"min_word_len": 4, "max_word_len": 2}, "'min_word_len'"),
-            ({"min_word_len": 0, "max_word_len": 0}, "'min_word_len'"),
             ({"seed": -1}, "'seed'"),
             ({"letters": ""}, "'letters'"),
             ({"letters": "ABC"}, "'letters'"),
@@ -379,6 +378,7 @@ class TestTrainToyCommand:
             ({"clip_norm": 0}, "'clip_norm'"),
             ({"holdout_fraction": 1.5}, "'holdout_fraction'"),
             ({"holdout_fraction": -1}, "'holdout_fraction'"),
+            ({"min_word_len": 0, "max_word_len": 0}, "'min_word_len'"),
         ],
     )
     def test_mistyped_key_or_layer_row_named(self, tmp_path, capsys, extra, named):
