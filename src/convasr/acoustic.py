@@ -124,9 +124,9 @@ def conv1d_forward(x: np.ndarray, layer: ConvLayerSpec, params: LayerParams) -> 
 
 
 def conv1d_backward(
-    x: np.ndarray, layer: ConvLayerSpec, params: LayerParams, d_y: np.ndarray
+    x: np.ndarray, layer: ConvLayerSpec, params: LayerParams, d_y: np.ndarray, input_grad: bool = True
 ):
-    """Exact gradients of the convolution: returns (d_x, d_w, d_b)."""
+    """Exact gradients of the convolution: (d_x, d_w, d_b), d_x None unless ``input_grad``."""
     x = np.asarray(x, dtype=np.float64)
     d_y = np.asarray(d_y, dtype=np.float64)
     t_out = layer.out_frames(x.shape[0])
@@ -135,6 +135,8 @@ def conv1d_backward(
     windows = np.lib.stride_tricks.sliding_window_view(x, layer.kw, axis=0)[:: layer.dw]
     d_w = np.tensordot(d_y, windows, axes=([0], [0]))  # (d_out, d_in, kw)
     d_b = d_y.sum(axis=0)
+    if not input_grad:
+        return None, d_w, d_b
     d_x = np.zeros_like(x)
     contrib = np.tensordot(d_y, params.w, axes=([1], [0]))  # (T_y, d_in, kw)
     # high offsets first: each input row then sums its terms in output order
@@ -173,16 +175,17 @@ def network_forward_cached(x: np.ndarray, spec: NetworkSpec, params: ModelParams
 
 
 def network_backward(spec: NetworkSpec, params: ModelParams, cache, d_out: np.ndarray):
-    """Backprop through the cached forward pass; returns per-layer grads."""
+    """Backprop through the cached forward pass; returns the per-layer grads
+    as ``LayerParams`` (d_w, d_b).  The network input's gradient is not formed."""
     inputs, preacts = cache
     grads = [None] * len(spec.layers)
     d = np.asarray(d_out, dtype=np.float64)
     for i in range(len(spec.layers) - 1, -1, -1):
         layer, lp = spec.layers[i], params.layers[i]
         d = d * _NONLIN[layer.nonlinearity][1](preacts[i])
-        d, d_w, d_b = conv1d_backward(inputs[i], layer, lp, d)
+        d, d_w, d_b = conv1d_backward(inputs[i], layer, lp, d, input_grad=i > 0)
         grads[i] = LayerParams(d_w, d_b)
-    return grads, d
+    return grads
 
 
 def parse_network_spec(text: str) -> NetworkSpec:

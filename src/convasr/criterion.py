@@ -22,14 +22,14 @@ reduces the run of links into each state with log-add-exp for the
 Forward score and with max for Viterbi (whose backtrace recomputes each
 argmax from the stored table).
 
-The posteriors run on probabilities instead: each frame's scores are
-shifted by their maximum, exponentiated and renormalized (Rabiner's
-scaled forward-backward), so a frame costs one matmul on the fully
-connected lattice and a few shifted vector products on a chain.  The
-backward pass is the forward pass over reversed time.  Where float64
-cannot carry the scaled values, at large score spreads, the posteriors
-fall back to the log-domain recursion, whose backward pass reverses
-the lattice the same way.
+The posteriors run on probabilities instead (Rabiner's scaled
+forward-backward): scores are shifted by their maximum, exponentiated
+and renormalized every few frames, as their spread allows.  A frame
+costs one matmul on a lattice no wider than the label set and a few
+shifted vector products on a longer chain.  The backward pass runs
+forward over reversed time.  Where float64 cannot carry the scaled
+values, the posteriors fall back to the log-domain recursion, whose
+backward pass reverses the lattice the same way.
 
 Scores accumulate as emission f[t, label] plus transition
 trans[prev_label, label] per step (a per-label start score replaces the
@@ -364,13 +364,15 @@ def _scaled_forward_backward(graph: Lattice, f, score, start, links: bool):
 
     Every factor is shifted by its maximum, exp(f[t] - max f[t]),
     exp(score - max score) and exp(start - max start), so it lies in
-    (0, 1].  The backward pass is the forward pass over reversed time and
-    reversed states along the reversed links, and each pass renormalizes
-    every frame by its own sum (Rabiner, Proc. IEEE 1989); the forward
-    sums give the score, and the two passes run as one recursion on the
-    stacked pair.  On a chain (every link stays or moves forward, by at
-    most D states) a frame step is D + 1 shifted vector products; on any
-    other lattice it is one matmul.
+    [exp(lowest), 1].  The backward pass is the forward pass over reversed
+    time and states along the reversed links; both run as one recursion.
+    A lattice of at most L states (L labels) steps a frame with one
+    batched matmul, a longer chain (links stay or move forward, by at most
+    D states) with D + 1 shifted vector products.  Each pass renormalizes
+    by its own sum every K = max(1, 600 // (1 - 2 lowest + ln S)) frames
+    (Rabiner, Proc. IEEE 1989).  The largest entry, at least 1/S after a
+    renormalization, keeps exp(2 lowest) of itself or more each step along
+    its stay link, so the mass stays normal.  The forward sums give the score.
 
     A factor below the smallest normal float would drop or blur its paths
     in both passes alike, where no later test could see it, so such
@@ -378,8 +380,8 @@ def _scaled_forward_backward(graph: Lattice, f, score, start, links: bool):
     recursion shows as disagreement between frames: each frame's two
     tables yield the score once more, and each of those T estimates must
     be a normal float and match the forward pass's own to 1e-12 * T,
-    relative.  Every per-frame sum must be a normal float too, and every
-    link mass finite.
+    relative.  Every renormalizing sum must be a normal float too, and
+    every link mass finite.
     """
     T, S = graph.num_frames, graph.labels.size
     lab, initial, src, dst = graph.labels, graph.initial, graph.src, graph.dst
@@ -394,6 +396,7 @@ def _scaled_forward_backward(graph: Lattice, f, score, start, links: bool):
     )
     if lowest < np.log(_TINY):
         return None
+    K = max(1, int(600 // (1.0 - 2.0 * lowest + np.log(S))))
     label_w = np.exp(shifted, out=shifted)
     # pass 0 runs forward; pass 1 backward over reversed time and states,
     # where link p -> s becomes S-1-s -> S-1-p and the accepting states start
@@ -403,8 +406,8 @@ def _scaled_forward_backward(graph: Lattice, f, score, start, links: bool):
     link_w = np.exp(score - score_max)
     back_src, back_dst = S - 1 - dst, S - 1 - src
     shift = dst - src
-    chain = shift.min(initial=0) >= 0
-    D = int(shift.max(initial=0)) if chain else 0
+    chain = S > f.shape[1] and shift.min() >= 0
+    D = int(shift.max()) if chain else 0
     table = np.zeros((T, 2, D + S))  # D zero columns pad the shifted reads
     state = table[:, :, D:]
     if chain:
@@ -418,10 +421,8 @@ def _scaled_forward_backward(graph: Lattice, f, score, start, links: bool):
         dense = np.zeros((2, S, S))
         dense[0, src, dst] = link_w
         dense[1, back_src, back_dst] = link_w
-        reads = list(state[:, :, None, :])
-    rows, factors = list(state), list(emits)
-    scale = np.empty((T, 2))
-    scales = list(scale[:, :, None])
+    rows, factors = list(state[:, :, None, :]), list(emits[:, :, None, :])  # (2, 1, S) each
+    scale = np.ones((T, 2))
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         state[0, 0] = np.exp(start - start_max)
@@ -429,12 +430,13 @@ def _scaled_forward_backward(graph: Lattice, f, score, start, links: bool):
         for t, row in enumerate(rows):  # row 0 already holds the start
             if t and chain:
                 np.multiply(weights, reads[t - 1], out=work)
-                np.add.reduce(work, axis=1, out=row)
+                np.add.reduce(work, axis=1, keepdims=True, out=row)
             elif t:
-                np.matmul(reads[t - 1], dense, out=reads[t])
+                np.matmul(rows[t - 1], dense, out=row)
             np.multiply(row, factors[t], out=row)
-            np.add.reduce(row, axis=1, out=scale[t])
-            np.divide(row, scales[t], out=row)
+            if t % K == 0:
+                np.add.reduce(row, axis=2, out=scale[t, :, None])
+                np.divide(row, scale[t, :, None, None], out=row)
 
         alpha = state[:, 0]
         ahead = state[::-1, 1, ::-1]  # emission plus backward, per frame

@@ -28,7 +28,7 @@ from .acoustic import (
     network_forward_cached,
 )
 from .criterion import TransitionTable, _as_scores, asg_loss, build_full_graph, viterbi
-from .features import SAMPLE_RATE, Waveform, mfcc, normalize
+from .features import SAMPLE_RATE, WINDOW_MS, Waveform, mfcc, normalize
 from .metrics import levenshtein
 
 
@@ -47,14 +47,22 @@ class ToyTaskConfig:
     def __post_init__(self):
         if len(self.tone_hz) < len(self.letters):
             raise ValueError("toy task 'tone_hz' needs one tone frequency per letter")
-        if self.num_samples < 1:
-            raise ValueError(f"toy task 'num_samples' must be at least 1, got {self.num_samples}")
         if not 1 <= self.min_word_len <= self.max_word_len:
             raise ValueError(
                 f"toy task 'min_word_len' {self.min_word_len} is not from 1 to 'max_word_len' {self.max_word_len}"
             )
-        if self.seed < 0:
-            raise ValueError(f"toy task 'seed' must be non-negative, got {self.seed}")
+        window = int(round(SAMPLE_RATE * WINDOW_MS / 1000.0))  # a tone lasts int(ms / 1000 * rate) samples
+        tone_ms = 0.0 < self.min_tone_ms <= self.max_tone_ms < np.inf
+        for key, ok, want in (
+            ("num_samples", self.num_samples >= 1, "at least 1"),
+            ("seed", self.seed >= 0, "non-negative"),
+            ("tone_hz", all(0.0 < hz < np.inf for hz in self.tone_hz), "finite and > 0"),
+            ("min_tone_ms", tone_ms and int(self.min_tone_ms / 1000.0 * SAMPLE_RATE) >= window,
+             f"> 0 and <= a finite 'max_tone_ms', and fill one {window}-sample analysis window"),
+            ("noise_std", 0.0 <= self.noise_std < np.inf, "finite and >= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"toy task {key!r} must be {want}, got {getattr(self, key)!r}")
         need = 2 if self.max_word_len > 1 else 1  # no adjacent repeats: longer words alternate letters
         try:  # the transcriptions are read back through the alphabet: each letter must spell itself
             alphabet = make_alphabet(self.letters)
@@ -138,7 +146,8 @@ class ToyTrainResult:
 
 
 def _clip_gradients(arrays, clip_norm: float) -> None:
-    total = np.sqrt(sum(float(np.sum(a * a)) for a in arrays))
+    """Scales the arrays in place so that their global L2 norm is at most ``clip_norm``."""
+    total = np.sqrt(sum(float(np.vdot(a, a)) for a in arrays))
     if total > clip_norm:
         scale = clip_norm / total
         for a in arrays:
@@ -210,15 +219,14 @@ def train_toy(
             out, cache = network_forward_cached(feats.frames, spec, params)
             result = asg_loss(out, transitions, encoded[i])
             total_loss += result.loss
-            grads, _ = network_backward(spec, params, cache, result.d_emissions)
+            grads = network_backward(spec, params, cache, result.d_emissions)
             flat = [g.w for g in grads] + [g.b for g in grads]
             flat += [result.d_transitions, result.d_start]
             _clip_gradients(flat, cfg.clip_norm)
-            for lp, g in zip(params.layers, grads):
-                lp.w -= cfg.learning_rate * g.w
-                lp.b -= cfg.learning_rate * g.b
-            transitions.trans -= cfg.learning_rate * result.d_transitions
-            transitions.start -= cfg.learning_rate * result.d_start
+            weights = [lp.w for lp in params.layers] + [lp.b for lp in params.layers]
+            for w, g in zip(weights + [transitions.trans, transitions.start], flat):
+                g *= cfg.learning_rate
+                w -= g
         edits, ref_len = holdout_ler(hold, spec, params, transitions, alphabet)
         stats = EpochStats(epoch, total_loss / max(1, len(train_idx)), edits, ref_len)
         curve.append(stats)

@@ -469,6 +469,13 @@ def _kernel_instance(rng, family: str, scale: float):
         return build_asg_graph([int(x) for x in rng.integers(0, L, n)], T), f, tr
     if family == "full":
         return build_full_graph(L, T), f, tr
+    if family == "train_asg shape":  # 29 labels over 75-300 frames: many renormalization blocks
+        T, L = int(rng.integers(75, 301)), 29
+        f = scale * rng.normal(size=(T, L))
+        tr = random_transitions(rng, L, scale=0.5 * min(scale, 100.0))
+        if rng.random() < 0.5:
+            return build_full_graph(L, T), f, tr
+        return build_asg_graph(random_label_sequence(rng, int(rng.integers(8, 25)), L), T), f, tr
     if family == "ctc":  # one label per frame leaves room for any separators
         labels = random_label_sequence(rng, (n + 1) // 2, L - 1)
         return build_ctc_graph(labels, T, blank_id=L - 1), log_softmax(f), None
@@ -476,7 +483,7 @@ def _kernel_instance(rng, family: str, scale: float):
     return build_linear_graph(random_label_sequence(rng, n, L), optional, T), f, tr
 
 
-KERNEL_FAMILIES = ["asg", "long asg", "full", "ctc", "optional silence"]
+KERNEL_FAMILIES = ["asg", "long asg", "full", "ctc", "optional silence", "train_asg shape"]
 KERNEL_SCALES = [1.0, 30.0, 100.0, 1e3]
 
 

@@ -506,8 +506,14 @@ _TOY = {
     "num_samples": (st.integers(1, 3), st.integers(-2, 0)),
     "min_word_len": (st.integers(1, 2), st.integers(3, 5) | st.integers(-1, 0)),
     "max_word_len": (st.integers(2, 4), st.integers(-1, 1)),
-    "tone_hz": (st.just((300.0, 700.0, 1300.0, 2200.0)), st.sampled_from([(), (300.0,)])),
+    "tone_hz": (
+        st.just((300.0, 700.0, 1300.0, 2200.0)),
+        st.sampled_from([(), (300.0,), (300.0, 0.0, 1300.0, 2200.0), (300.0, _NAN, 1300.0, _INF)]),
+    ),
     "seed": (st.integers(0, 2**32 - 1), st.integers(-5, -1)),
+    "min_tone_ms": (st.floats(25.0, 60.0), st.sampled_from([0.0, -5.0, 20.0, _NAN, _INF])),
+    "max_tone_ms": (st.floats(60.0, 90.0), st.sampled_from([10.0, _NAN, _INF])),
+    "noise_std": (st.floats(0.0, 0.5), st.sampled_from([-0.1, _NAN, _INF])),
 }
 _TRAIN = {
     "epochs": (st.integers(1, 3), st.integers(-1, 0)),
@@ -563,8 +569,11 @@ class TestConfigsCheckThemselves:
             "num_samples": v["num_samples"] < 1,
             "min_word_len": not 1 <= lo <= hi,
             "max_word_len": lo > hi,
-            "tone_hz": len(v["tone_hz"]) < len(letters),
+            "tone_hz": len(v["tone_hz"]) < len(letters) or not all(0.0 < hz < math.inf for hz in v["tone_hz"]),
             "seed": v["seed"] < 0,
+            "min_tone_ms": not 25.0 <= v["min_tone_ms"] <= v["max_tone_ms"] < math.inf,  # 25 ms: one window
+            "max_tone_ms": not v["min_tone_ms"] <= v["max_tone_ms"] < math.inf,
+            "noise_std": not 0.0 <= v["noise_std"] < math.inf,
         }
         cfg = _checked(lambda: ToyTaskConfig(**v), _quoted(v), bad)
         if cfg is None:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from convasr import criterion
 from convasr.acoustic import ConvLayerSpec, NetworkSpec
 from convasr.criterion import asg_loss
 from convasr.alphabet import encode_transcription
@@ -8,6 +9,7 @@ from convasr.features import FeatureSequence
 from convasr.training import (
     ToyTaskConfig,
     TrainConfig,
+    _clip_gradients,
     default_toy_network,
     greedy_transcribe,
     make_toy_dataset,
@@ -42,6 +44,57 @@ class TestToyDataset:
     def test_needs_enough_tones(self):
         with pytest.raises(ValueError):
             make_toy_dataset(ToyTaskConfig(letters="abcdef", tone_hz=(100.0,)))
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"tone_hz": (300.0, 700.0, 0.0, 2200.0, 3500.0)}, "'tone_hz'"),
+            ({"tone_hz": (300.0, 700.0, np.nan, 2200.0, 3500.0)}, "'tone_hz'"),
+            ({"tone_hz": (300.0, 700.0, np.inf, 2200.0, 3500.0)}, "'tone_hz'"),
+            ({"min_tone_ms": 200.0, "max_tone_ms": 10.0}, "'min_tone_ms'"),
+            ({"min_tone_ms": 0.0, "max_tone_ms": 0.0}, "'min_tone_ms'"),
+            ({"min_tone_ms": np.nan}, "'min_tone_ms'"),
+            ({"max_tone_ms": np.inf}, "'max_tone_ms'"),
+            ({"min_tone_ms": 20.0, "max_tone_ms": 30.0}, "'min_tone_ms'"),  # 320 samples, window 400
+            ({"noise_std": -0.1}, "'noise_std'"),
+            ({"noise_std": np.nan}, "'noise_std'"),
+        ],
+    )
+    def test_tone_fields_checked(self, fields, named):
+        with pytest.raises(ValueError, match=named):
+            ToyTaskConfig(**fields)
+
+    def test_shortest_tone_fills_one_window(self):
+        # 25 ms is exactly one 400-sample analysis window at 16 kHz
+        _, data = make_toy_dataset(ToyTaskConfig(num_samples=2, min_word_len=1, min_tone_ms=25.0, max_tone_ms=25.0))
+        assert all(feats.num_frames >= 1 for feats, _ in data)
+
+
+class TestClipGradients:
+    def _arrays(self, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=(4, 3, 2)), rng.normal(size=4), rng.normal(size=(5, 5))]
+
+    def test_above_the_bound_the_global_norm_becomes_the_bound(self):
+        for seed in range(5):
+            arrays = self._arrays(seed)
+            norm = np.sqrt(sum(np.sum(a**2) for a in arrays))
+            _clip_gradients(arrays, norm / 3.0)
+            clipped = np.sqrt(sum(np.sum(a**2) for a in arrays))
+            assert abs(clipped - norm / 3.0) <= 1e-12 * norm / 3.0
+
+    def test_at_or_below_the_bound_nothing_changes(self):
+        arrays = self._arrays(7)
+        norm = np.sqrt(sum(float(np.vdot(a, a)) for a in arrays))  # the norm as the clip sums it
+        for bound in (norm, 2.0 * norm, np.inf):
+            copies = [a.copy() for a in arrays]
+            _clip_gradients(copies, bound)
+            assert all(np.array_equal(a, c) for a, c in zip(arrays, copies))
+
+    def test_zero_gradients_stay_zero(self):
+        arrays = [np.zeros((3, 2)), np.zeros(4)]
+        _clip_gradients(arrays, 1.0)
+        assert not any(a.any() for a in arrays)
 
 
 class TestTrainToy:
@@ -110,6 +163,45 @@ class TestTrainToy:
         for s in res.curve:
             rows.append(f"{s.epoch},{s.edit_count},{s.ref_length},{s.ler:.6f}")
         assert "\n".join(rows) + "\n" == golden
+
+    def test_every_step_takes_the_scaled_path(self, monkeypatch):
+        # the training benchmark's tone words (16-24 of its 8-24 letters over
+        # a-z, 180-250 ms each) and network: numerator chains of 16-24 states
+        # under 29 labels over about 140-300 frames.  Renormalizing only at the
+        # first frame makes this run fall back.
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        task = ToyTaskConfig(
+            letters=letters, num_samples=6, min_word_len=16, max_word_len=24, seed=4,
+            tone_hz=tuple(np.geomspace(250.0, 5000.0, len(letters))), min_tone_ms=180.0, max_tone_ms=250.0,
+        )
+        alphabet, data = make_toy_dataset(task)
+        spec = NetworkSpec(
+            [
+                ConvLayerSpec(39, 250, 7, 2, "hardtanh"),
+                ConvLayerSpec(250, 250, 5, 1, "hardtanh"),
+                ConvLayerSpec(250, len(alphabet), 1, 1, "none"),
+            ]
+        )
+        fallbacks, widths = [], []
+        log_domain, forward_backward = criterion._log_forward_backward, criterion.forward_backward
+
+        def log_domain_spy(*args):
+            fallbacks.append(args)
+            return log_domain(*args)
+
+        def forward_backward_spy(graph, *args):
+            widths.append(graph.labels.size)
+            return forward_backward(graph, *args)
+
+        monkeypatch.setattr(criterion, "_log_forward_backward", log_domain_spy)
+        monkeypatch.setattr(criterion, "forward_backward", forward_backward_spy)
+        train_toy(data, alphabet, spec, TrainConfig(epochs=2, seed=4))
+        # 5 training utterances an epoch, each a numerator chain then the full lattice
+        texts = [text for _, text in data[:5]]
+        assert fallbacks == []
+        assert len(widths) == 2 * 2 * len(texts)
+        assert sorted(widths[0::2]) == sorted(2 * [len(t) for t in texts])
+        assert widths[1::2] == [len(alphabet)] * len(widths[1::2])
 
     def test_early_stop(self, small_task):
         alphabet, data = small_task
