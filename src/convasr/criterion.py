@@ -34,7 +34,9 @@ backward pass reverses the lattice the same way.
 Scores accumulate as emission f[t, label] plus transition
 trans[prev_label, label] per step (a per-label start score replaces the
 transition at the first frame).  Losses return exact gradients computed
-from forward-backward posterior marginals.
+from forward-backward posterior marginals.  Each public call checks its
+inputs once and hands the checked ``EmissionTable`` on unchecked; each
+pass gathers the per-state emissions f[:, labels] it reads itself.
 """
 
 from __future__ import annotations
@@ -268,37 +270,35 @@ def build_full_graph(num_labels: int, num_frames: int) -> Lattice:
     return Lattice(num_frames, lab, src, dst, every, every)
 
 
-def _as_scores(emissions) -> np.ndarray:
-    if isinstance(emissions, EmissionTable):
-        return emissions.scores
-    return EmissionTable(np.asarray(emissions, dtype=np.float64)).scores
+def _checked_model(emissions, transitions: TransitionTable | None) -> tuple[EmissionTable, TransitionTable]:
+    """A criterion call's one input check: a raw array is wrapped in a checked
+    ``EmissionTable`` (a table passes as it is) and None transitions become
+    the zero table.  Returns both, their label counts matched."""
+    table = emissions if isinstance(emissions, EmissionTable) else EmissionTable(emissions)
+    num_labels = table.scores.shape[1]
+    tr = TransitionTable.zeros(num_labels) if transitions is None else transitions
+    if tr.num_labels != num_labels:
+        raise CriterionError(f"transition table covers {tr.num_labels} labels, emissions {num_labels}")
+    return table, tr
 
 
-def _checked_model(emissions, tr: TransitionTable) -> np.ndarray:
-    """The (T, L) emission scores, checked finite and against the transition table."""
-    f = _as_scores(emissions)
-    if tr.num_labels != f.shape[1]:
-        raise CriterionError(f"transition table covers {tr.num_labels} labels, emissions {f.shape[1]}")
-    return f
-
-
-def _state_scores(graph: Lattice, emissions, tr: TransitionTable):
-    """Checked tables every pass uses: emission (T, S), link score
-    trans[labels[src], labels[dst]] (K,), and start score (S,), -inf
-    outside the initial states."""
-    f = _checked_model(emissions, tr)
+def _state_scores(graph: Lattice, f: np.ndarray, tr: TransitionTable):
+    """Link scores trans[labels[src], labels[dst]] (K,) and start scores (S,),
+    -inf outside the initial states, once the lattice fits the checked (T, L)
+    emissions ``f``; the passes gather the emissions f[:, labels] they read."""
     if f.shape[0] != graph.num_frames:
         raise CriterionError(f"graph spans {graph.num_frames} frames but emissions have {f.shape[0]}")
     if graph.labels.min() < 0 or graph.labels.max() >= f.shape[1]:
         raise CriterionError("graph refers to labels outside the emission table")
     lab = graph.labels
     start = np.where(graph.initial, tr.start[lab], NEG_INF)
-    return f[:, lab], tr.trans[lab[graph.src], lab[graph.dst]], start
+    return tr.trans[lab[graph.src], lab[graph.dst]], start
 
 
-def _forward(graph: Lattice, emit, edge, start, ufunc) -> np.ndarray:
+def _forward(graph: Lattice, f, edge, start, ufunc) -> np.ndarray:
     """Table (T, S) of ``ufunc`` (np.maximum or np.logaddexp) reduced over
     the paths into each state, along links scored ``edge``."""
+    emit = f[:, graph.labels]
     T, S = emit.shape
     runs = np.searchsorted(graph.dst, np.arange(S))  # each state's first link
     alpha = np.empty((T, S))
@@ -319,9 +319,10 @@ def forward_score(
     """
     if mode not in ("logadd", "max"):
         raise CriterionError(f"unknown mode {mode!r}")
-    emit, edge, start = _state_scores(graph, emissions, transitions)
+    table, tr = _checked_model(emissions, transitions)
+    edge, start = _state_scores(graph, table.scores, tr)
     ufunc = np.logaddexp if mode == "logadd" else np.maximum
-    alpha = _forward(graph, emit, edge, start, ufunc)
+    alpha = _forward(graph, table.scores, edge, start, ufunc)
     final = alpha[-1, graph.accepting]
     score = logadd(final) if mode == "logadd" else float(np.max(final))
     return score, alpha
@@ -333,14 +334,15 @@ def viterbi(graph: Lattice, emissions, transitions: TransitionTable):
     Ties break toward the lowest state index, both among predecessors
     and among accepting states.
     """
-    emit, edge, start = _state_scores(graph, emissions, transitions)
-    alpha = _forward(graph, emit, edge, start, np.maximum)
+    table, tr = _checked_model(emissions, transitions)
+    edge, start = _state_scores(graph, table.scores, tr)
+    alpha = _forward(graph, table.scores, edge, start, np.maximum)
     runs = np.searchsorted(graph.dst, np.arange(graph.labels.size + 1))
     final = np.where(graph.accepting, alpha[-1], NEG_INF)
     s = int(np.argmax(final))
     score = float(final[s])
     states = [s]
-    for t in range(emit.shape[0] - 1, 0, -1):
+    for t in range(graph.num_frames - 1, 0, -1):
         # sources ascend within a run: the first maximum is the lowest state
         lo, hi = runs[s], runs[s + 1]
         s = int(graph.src[lo + np.argmax(alpha[t - 1, graph.src[lo:hi]] + edge[lo:hi])])
@@ -482,11 +484,11 @@ def _scaled_forward_backward(graph: Lattice, f, score, start, links: bool):
     return log_z, gamma, mass
 
 
-def _log_forward_backward(graph: Lattice, emit, edge, start, links: bool):
+def _log_forward_backward(graph: Lattice, f, edge, start, links: bool):
     """The log-domain counterpart of ``_scaled_forward_backward``, exact
     at every score scale."""
-    T, S = emit.shape
-    alpha = _forward(graph, emit, edge, start, np.logaddexp)
+    T, S = f.shape[0], graph.labels.size
+    alpha = _forward(graph, f, edge, start, np.logaddexp)
     log_z = logadd(alpha[-1, graph.accepting])
     if not np.isfinite(log_z):
         raise CriterionError("no accepted path has finite score")
@@ -499,8 +501,8 @@ def _log_forward_backward(graph: Lattice, emit, edge, start, links: bool):
         graph.accepting[::-1], graph.initial[::-1],
     )
     end = np.where(back.initial, 0.0, NEG_INF)
-    ahead = _forward(back, emit[::-1, ::-1], edge[order], end, np.logaddexp)[::-1, ::-1]
-    gamma = np.exp(alpha + ahead - emit - log_z)
+    ahead = _forward(back, f[::-1], edge[order], end, np.logaddexp)[::-1, ::-1]
+    gamma = np.exp(alpha + ahead - f[:, graph.labels] - log_z)
     if not links:
         return log_z, gamma, None
     mass = np.exp(alpha[:-1, graph.src] + edge + ahead[1:, graph.dst] - log_z).sum(axis=0)
@@ -513,16 +515,16 @@ def forward_backward(graph: Lattice, emissions, transitions: TransitionTable | N
     starts score 0 and the transition marginals are None.
 
     Runs on scaled probabilities, and in the log domain whenever those
-    cannot reach full precision (see ``_scaled_forward_backward``).  Each
-    link's posterior mass adds to the marginal of its label pair."""
-    f = _as_scores(emissions)
-    num_labels = f.shape[1]
-    tr = TransitionTable.zeros(num_labels) if transitions is None else transitions
-    emit, edge, start = _state_scores(graph, f, tr)
+    cannot reach full precision (see ``_scaled_forward_backward``).  Inputs
+    are checked once, an ``EmissionTable`` not at all.  Each link's
+    posterior mass adds to the marginal of its label pair."""
+    table, tr = _checked_model(emissions, transitions)
+    f, num_labels = table.scores, tr.num_labels
+    edge, start = _state_scores(graph, f, tr)
     links = transitions is not None
     fb = _scaled_forward_backward(graph, f, edge, start, links)
     if fb is None:
-        fb = _log_forward_backward(graph, emit, edge, start, links)
+        fb = _log_forward_backward(graph, f, edge, start, links)
     log_z, gamma, mass = fb
     lab = graph.labels
     label_marg = gamma @ (lab[:, None] == np.arange(num_labels)).astype(np.float64)
@@ -539,12 +541,11 @@ def ctc_loss(emissions, labels, blank_id: int, strict: bool = False) -> Criterio
     Assumes per-frame normalized emission rows (checked when ``strict``).
     Transitions play no role, so their gradients are zero.
     """
-    f = _as_scores(emissions)
+    table, _ = _checked_model(emissions, None)
     if strict:
-        EmissionTable(f, normalized=True)
-    graph = build_ctc_graph(labels, f.shape[0], blank_id)
-    num_labels = f.shape[1]
-    fb = forward_backward(graph, f, None)
+        EmissionTable(table.scores, normalized=True)
+    T, num_labels = table.scores.shape
+    fb = forward_backward(build_ctc_graph(labels, T, blank_id), table, None)
     return CriterionResult(
         loss=-fb.log_z,
         d_emissions=-fb.label_marginals,
@@ -563,11 +564,10 @@ def asg_loss(emissions, transitions: TransitionTable, labels) -> CriterionResult
     pays its start score with its first emission, so the start gradient
     is the first frame's emission gradient.
     """
-    f = _as_scores(emissions)
-    graph = build_asg_graph(labels, f.shape[0])
-    full = build_full_graph(f.shape[1], f.shape[0])
-    num = forward_backward(graph, f, transitions)
-    den = forward_backward(full, f, transitions)
+    table, tr = _checked_model(emissions, transitions)
+    T, num_labels = table.scores.shape
+    num = forward_backward(build_asg_graph(labels, T), table, tr)
+    den = forward_backward(build_full_graph(num_labels, T), table, tr)
     return CriterionResult(
         loss=-num.log_z + den.log_z,
         d_emissions=den.label_marginals - num.label_marginals,

@@ -130,8 +130,8 @@ def prune(total: np.ndarray, at_root: np.ndarray, cfg: DecoderConfig) -> np.ndar
 
 
 def _checked_scores(emissions, transitions: TransitionTable, lexicon: LexiconTrie) -> np.ndarray:
-    """The (T, L) emission scores, checked finite and against the model."""
-    f = _checked_model(emissions, transitions)
+    """The (T, L) emission scores, checked once: finite and against the model."""
+    f = _checked_model(emissions, transitions)[0].scores
     if f.shape[0] < 1:
         raise DecodeError("empty emission table")
     if lexicon.num_words == 0:

@@ -11,6 +11,7 @@ zero-variance dimensions map to 0.
 
 from __future__ import annotations
 
+import functools
 import wave
 from dataclasses import dataclass
 
@@ -136,17 +137,12 @@ def power_spectrum(w: Waveform) -> FeatureSequence:
     return FeatureSequence(spec, STRIDE_MS, WINDOW_MS)
 
 
+@functools.cache
 def mel_filterbank(n_filters: int, n_fft: int, sample_rate: int) -> np.ndarray:
     """Triangular mel filters from 0 Hz to Nyquist, evaluated on FFT bin
-    centers, (n_filters, n_fft//2+1)."""
-
-    def to_mel(hz):
-        return 2595.0 * np.log10(1.0 + np.asarray(hz) / 700.0)
-
-    def to_hz(mel):
-        return 700.0 * (10.0 ** (np.asarray(mel) / 2595.0) - 1.0)
-
-    edges = to_hz(np.linspace(to_mel(0.0), to_mel(sample_rate / 2.0), n_filters + 2))
+    centers, (n_filters, n_fft//2+1); built once per arguments, read-only."""
+    nyquist_mel = 2595.0 * np.log10(1.0 + sample_rate / 2.0 / 700.0)
+    edges = 700.0 * (10.0 ** (np.linspace(0.0, nyquist_mel, n_filters + 2) / 2595.0) - 1.0)
     bin_hz = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
     fb = np.zeros((n_filters, n_fft // 2 + 1))
     for m in range(n_filters):
@@ -154,15 +150,18 @@ def mel_filterbank(n_filters: int, n_fft: int, sample_rate: int) -> np.ndarray:
         up = (bin_hz - lo) / (mid - lo)
         down = (hi - bin_hz) / (hi - mid)
         fb[m] = np.maximum(0.0, np.minimum(up, down))
+    fb.flags.writeable = False
     return fb
 
 
+@functools.cache
 def dct_matrix(n_out: int, n_in: int) -> np.ndarray:
-    """Orthonormal DCT-II basis, (n_out, n_in)."""
+    """Orthonormal DCT-II basis, (n_out, n_in); built once per arguments, read-only."""
     k = np.arange(n_out)[:, None]
     n = np.arange(n_in)[None, :]
     mat = np.cos(np.pi * k * (2 * n + 1) / (2 * n_in)) * np.sqrt(2.0 / n_in)
     mat[0] /= np.sqrt(2.0)
+    mat.flags.writeable = False
     return mat
 
 

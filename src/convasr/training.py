@@ -27,9 +27,9 @@ from .acoustic import (
     network_backward,
     network_forward_cached,
 )
-from .criterion import TransitionTable, _as_scores, asg_loss, build_full_graph, viterbi
+from .criterion import TransitionTable, _checked_model, asg_loss, build_full_graph, viterbi
 from .features import SAMPLE_RATE, WINDOW_MS, Waveform, mfcc, normalize
-from .metrics import levenshtein
+from .metrics import error_rate
 
 
 @dataclass
@@ -156,20 +156,19 @@ def _clip_gradients(arrays, clip_norm: float) -> None:
 
 def greedy_transcribe(emissions, transitions: TransitionTable, alphabet: Alphabet) -> str:
     """Best unconstrained path, collapsed and decoded leniently."""
-    scores = _as_scores(emissions)
-    full = build_full_graph(scores.shape[1], scores.shape[0])
-    path, _ = viterbi(full, scores, transitions)
+    table, tr = _checked_model(emissions, transitions)
+    path, _ = viterbi(build_full_graph(table.scores.shape[1], table.scores.shape[0]), table, tr)
     return decode_labels(collapse_path(path, alphabet), alphabet, strict=False)
 
 
 def holdout_ler(dataset, spec, params, transitions, alphabet) -> tuple[int, int]:
-    edits, ref_len = 0, 0
-    for feats, text in dataset:
-        out, _ = network_forward_cached(feats.frames, spec, params)
-        hyp = greedy_transcribe(out, transitions, alphabet)
-        edits += levenshtein(text, hyp)
-        ref_len += len(text)
-    return edits, ref_len
+    """Letter edits and reference letters of the greedy transcripts of ``dataset``."""
+    hyps = [
+        greedy_transcribe(network_forward_cached(feats.frames, spec, params)[0], transitions, alphabet)
+        for feats, _ in dataset
+    ]
+    report = error_rate([text for _, text in dataset], hyps)
+    return report.total_edits, report.total_ref_length
 
 
 def train_toy(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from convasr import criterion
-from convasr.alphabet import collapse_path, default_alphabet, encode_transcription
+from convasr.alphabet import collapse_path, default_alphabet, encode_transcription, make_alphabet
 from convasr.criterion import (
     CriterionError,
     EmissionTable,
@@ -23,6 +23,7 @@ from convasr.criterion import (
     logadd,
     viterbi,
 )
+from convasr.training import greedy_transcribe
 
 import oracles
 from conftest import random_label_sequence, random_transitions
@@ -625,7 +626,36 @@ class TestScaledKernel:
         assert calls == []
 
 
+# every entry point that takes emissions, on 6 frames of 5 labels ("ab" has 5)
+CHECKED_CALLS = {
+    "asg_loss": lambda f, tr: asg_loss(f, tr, [0, 1, 0]),
+    "ctc_loss": lambda f, tr: ctc_loss(f, [0, 1], blank_id=4),
+    "forward_backward": lambda f, tr: forward_backward(build_full_graph(5, 6), f, tr),
+    "forward_score": lambda f, tr: forward_score(build_asg_graph([0, 1], 6), f, tr),
+    "viterbi": lambda f, tr: viterbi(build_full_graph(5, 6), f, tr),
+    "greedy_transcribe": lambda f, tr: greedy_transcribe(f, tr, make_alphabet("ab")),
+}
+
+
 class TestEmissionTable:
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["array", "table"])
+    @pytest.mark.parametrize("call", list(CHECKED_CALLS))
+    def test_each_call_checks_its_emissions_once(self, monkeypatch, call, wrapped):
+        # a raw array is checked once however many passes read it, and a
+        # table, checked when it was built, is not checked again
+        rng = np.random.default_rng(0)
+        f = log_softmax(rng.standard_normal((6, 5)))
+        emissions = EmissionTable(f) if wrapped else f
+        checks, post_init = [], EmissionTable.__post_init__
+
+        def counting_post_init(table):
+            checks.append(table)
+            post_init(table)
+
+        monkeypatch.setattr(EmissionTable, "__post_init__", counting_post_init)
+        CHECKED_CALLS[call](emissions, random_transitions(rng, 5))
+        assert len(checks) == (0 if wrapped else 1)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(CriterionError):
             EmissionTable(np.array([[0.0, np.inf]]))
