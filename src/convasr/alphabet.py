@@ -163,13 +163,6 @@ def collapse_path(frame_labels, alphabet: Alphabet) -> list[int]:
     return out
 
 
-def save_alphabet(alphabet: Alphabet, path) -> None:
-    """Write one symbol per line; the line number is the label id."""
-    with open(path, "w", encoding="utf-8") as f:
-        for s in alphabet.symbols:
-            f.write(s + "\n")
-
-
 _CHUNK = 1 << 16  # characters per read: a reader holds one read of a file's text
 
 
@@ -214,8 +207,9 @@ def _lines(path, error):
 
 
 def load_alphabet(path) -> Alphabet:
-    """Read a ``save_alphabet`` file, one symbol a line; a byte that is
-    not UTF-8 or a malformed inventory raises AlphabetError naming the file."""
+    """Read an alphabet file, one symbol a line, the line number being the
+    label id; a byte that is not UTF-8 or a malformed inventory raises
+    AlphabetError naming the file."""
     try:
         return Alphabet(tuple(line for _, line in _lines(path, AlphabetError) if line))
     except AlphabetError as exc:

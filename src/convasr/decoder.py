@@ -11,23 +11,26 @@ word boundaries too), the weighted language model, and a per-word term:
     total = acoustic + alpha * ln P_lm(words) + beta * |words|
 
 The frontier is a set of parallel arrays of trie node ids and search
-state.  Each frame builds its candidates in arrival order: per
-hypothesis its stay, its silence (at the root) and its advances in
+state, a word history being an index into two append-only lists (last
+word, earlier entry).  Each frame builds its candidates in arrival order:
+per hypothesis its stay, its silence (at the root) and its advances in
 grapheme order, each advance followed by the word commits it completes.
 One sort of packed integers (key, then arrival index) gathers the
 candidates of each key (trie node, LM state, last label), and a mask
-over the candidates ranks the keys by first arrival.  In "max" mode the
-first arrival with the key's best total wins, which makes an exhaustive
-beam an exact maximizer; "logadd" mode folds a key's candidates in
-arrival order, the winner taking the combined acoustic mass, a lower
-bound on the all-paths objective unless the beam holds every hypothesis.
+over the candidates ranks the keys by first arrival.  "max" mode folds
+every key in one pass: a segmented maximum of its totals, won by the
+first arrival at it, which makes an exhaustive beam an exact maximizer;
+"logadd" mode folds a key's candidates in arrival order, the winner
+taking the combined acoustic mass, a lower bound on the all-paths
+objective unless the beam holds every hypothesis.
 Prune keeps the keys within the beam threshold of the frame best, then
 caps the in-word keys at the beam size with one partition at the k-th
 best total, exact ties going to the key that arrived first; word-boundary
 keys escape the cap, being the decodable outputs and bounded in number.
 
 Most candidates are word starts (root hypothesis x root child) and few
-survive, so in "max" mode a frame first scores every start as one block.
+survive, so in "max" mode a frame first scores every start as one block,
+keyed by child and LM state rank (a mask over the interned states).
 A start's key is in-word and totals at least its best start; with kappa
 the beam_size-th best of those per-key bests, at least beam_size keys
 reach kappa, and prune cuts every key whose members all fall below it.
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +69,12 @@ class DecodeError(RuntimeError):
     """Raised when decoding cannot produce any complete hypothesis."""
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer >= 1 (bool and numpy integers pass)."""
+    if not (hasattr(type(value), "__index__") and operator.index(value) >= 1):
+        raise ValueError(f"{name} must be an integer >= 1")
+
+
 @dataclass
 class DecoderConfig:
     alpha: float = 1.0  # language model weight
@@ -81,8 +91,7 @@ class DecoderConfig:
             raise ValueError("alpha must be finite and >= 0")
         if not math.isfinite(self.beta):
             raise ValueError("beta must be finite")
-        if self.beam_size < 1:
-            raise ValueError("beam_size must be >= 1")
+        _check_count("beam_size", self.beam_size)
         if not self.beam_threshold > 0:
             raise ValueError("beam_threshold must be > 0")
         if self.mode not in ("max", "logadd"):
@@ -159,8 +168,7 @@ def decode(
     match their labels, and DecodeError when no complete hypothesis can come
     out (no frames, no words, all pruned, or too short for any word).
     """
-    if nbest < 1:
-        raise ValueError("nbest must be >= 1")
+    _check_count("nbest", nbest)
     f = _checked_scores(emissions, transitions, lexicon)
     sil = lexicon.alphabet.silence_id
     # the search starts from one root hypothesis on a virtual label whose
@@ -175,7 +183,8 @@ def decode(
     # LM states are interned to ints, in order of first use
     states = [lm.start_state()]
     state_ids = {states[0]: 0}
-    memo: dict[tuple, tuple] = {}  # (state id, word id) -> (log10 score, next state id)
+    vocab = lexicon.num_words
+    memo: dict[int, tuple] = {}  # state id x vocab + word id -> (log10 score, next state id)
 
     # alpha * ln(10), so that the LM term is lm_weight * log10 mass; a
     # zero weight counts 0, also for an impossible (-inf) word sequence
@@ -186,10 +195,12 @@ def decode(
         lm_term = lm_weight * (lm10 + smear10) if lm_weight else 0.0
         return (acoustic + lm_term) + cfg.beta * num_words
 
-    # the frontier: node, LM state, last label, acoustic score, committed
-    # n-gram mass (log10), word count, and the committed word ids
+    # the frontier: node, LM state, last label, acoustic score, committed n-gram
+    # mass (log10), word count, and word history: an entry of the append-only
+    # lists word (its last word id) and prev (the entry before it), or -1
     node, state, num_words = (np.zeros(1, dtype=np.intp) for _ in range(3))
-    last, acoustic, lm10, words = np.full(1, begin), np.zeros(1), np.zeros(1), [()]
+    last, acoustic, lm10, hist = np.full(1, begin), np.zeros(1), np.zeros(1), np.full(1, -1)
+    word, prev = [], []
 
     for frame in f:
         # the word starts to build (module docstring), root hypotheses x
@@ -201,35 +212,37 @@ def decode(
         if cfg.mode == "max":
             start_acoustic = (acoustic[r, None] + kid_trans[last[r]]) + frame[kid_label]
             start = totals(start_acoustic, lm10[r, None], smeared[kids], num_words[r, None])
-            ids, row = np.unique(state[r], return_inverse=True)
-            cell = row[:, None] * kids.size + np.arange(kids.size)  # key: (LM state, child)
-            best = np.full(ids.size * kids.size, -np.inf)
-            np.maximum.at(best, cell[build], start[build])
+            # rank the root rows' LM states in id order, O(states interned) a frame
+            present = np.zeros(len(states), dtype=bool)
+            present[state[r]] = True
+            lm_rank = np.cumsum(present) - 1
+            cell = lm_rank[state[r], None] * kids.size + np.arange(kids.size)  # (LM state, child)
+            best = np.full((lm_rank[-1] + 1) * kids.size, -np.inf)
+            np.maximum.at(best, cell.ravel(), np.where(build, start, -np.inf).ravel())
             if best.size >= cfg.beam_size:
                 keep = best >= np.partition(best, -cfg.beam_size)[-cfg.beam_size]
                 # a depth-1 hypothesis's stay has its node and LM state's key
                 d1 = np.flatnonzero((node >= first[0]) & (node < first[1]))
-                j = np.searchsorted(ids, state[d1]).clip(max=ids.size - 1)
-                shared = ids[j] == state[d1]
-                keep[j[shared] * kids.size + node[d1[shared]] - first[0]] = True
+                d1 = d1[present[state[d1]]]
+                keep[lm_rank[state[d1]] * kids.size + node[d1] - first[0]] = True
                 build &= keep[cell] | kid_ends
         # every hypothesis owns slots 0 (stay), 1 (silence) and 2 on (one per
         # child in grapheme order, or per start built); a slot that cannot move is masked
         count = 2 + first[node + 1] - first[node]
-        count[r] = 2 + np.count_nonzero(build, axis=1)
+        count[r] = 2 + build.sum(axis=1)
         src = np.repeat(np.arange(node.size), count)
         slot = np.arange(src.size) - np.repeat(np.cumsum(count) - count, count)
         stay, silence = slot == 0, slot == 1
         from_node, from_last = node[src], last[src]
         at_root = from_node == 0
         to = np.where(stay, from_node, np.where(silence, 0, first[from_node] + slot - 2))
-        to[at_root & (slot >= 2)] = kids[np.nonzero(build)[1]]
+        to[at_root & (slot >= 2)] = np.repeat(kids[None], r.size, axis=0)[build]
         lab = np.where(stay, from_last, np.where(silence, sil, label[to]))
         # the virtual start label cannot stay; advancing onto the last
         # label is indistinguishable from staying (identical letters need
         # silence or another word in between)
         ok = np.where(stay, from_last != begin, lab != from_last)
-        ok[silence] &= at_root[silence] & (cfg.silence != "none")
+        ok &= ~silence | (at_root & (cfg.silence != "none"))
         pos = np.flatnonzero(ok)
         src, to, lab = src[pos], to[pos], lab[pos]
         moved = (acoustic[src] + trans[last[src], lab]) + frame[lab]
@@ -239,27 +252,26 @@ def decode(
         commits = np.where(slot[pos] >= 2, num_ends[to], 0)
         at = np.repeat(np.arange(pos.size), 1 + commits)  # each one's advance
         is_commit = np.concatenate([[False], at[1:] == at[:-1]])  # all but an advance's first
-        pool = list(words)
-        new_state, new_lm10 = [], []
-        for i in np.flatnonzero(commits).tolist():
-            row = src[i]
-            from_state = int(state[row])
-            for wid in ends[to[i]]:
-                if (from_state, wid) not in memo:
-                    s, new = score_word(lm, states[from_state], lexicon.words[wid])
-                    if new not in state_ids:
-                        state_ids[new] = len(states)
-                        states.append(new)
-                    memo[from_state, wid] = s, state_ids[new]
-                s, next_state = memo[from_state, wid]
-                new_state.append(next_state)
-                new_lm10.append(lm10[row] + s)
-                pool.append(words[row] + (wid,))
-        c_history, c_label, c_acoustic = src[at], lab[at], moved[at]
-        c_node, c_words = np.where(is_commit, 0, to[at]), num_words[c_history] + is_commit
-        c_state, c_lm10 = state[c_history], lm10[c_history]
-        c_state[is_commit], c_lm10[is_commit] = new_state, new_lm10
-        c_history[is_commit] = np.arange(len(words), len(pool))
+        c_src, row = src[at], src[at[is_commit]]  # each candidate's hypothesis, each commit's
+        wid = np.array([w for n in to[commits > 0].tolist() for w in ends[n]], dtype=np.intp)
+        scored = []  # per commit (log10 score, next state id): one score_word per new pair
+        for pair in (state[row] * vocab + wid).tolist():
+            if pair not in memo:
+                s, new = score_word(lm, states[pair // vocab], lexicon.words[pair % vocab])
+                if new not in state_ids:
+                    state_ids[new] = len(states)
+                    states.append(new)
+                memo[pair] = s, state_ids[new]
+            scored.append(memo[pair])
+        mass, goes = np.array(scored, dtype=float).reshape(-1, 2).T  # state ids exact as floats
+        c_label, c_acoustic = lab[at], moved[at]
+        c_node, c_words = np.where(is_commit, 0, to[at]), num_words[c_src] + is_commit
+        c_state, c_lm10, c_hist = state[c_src], lm10[c_src], hist[c_src]
+        c_state[is_commit] = goes
+        c_lm10[is_commit] += mass
+        c_hist[is_commit] = np.arange(len(word), len(word) + wid.size)
+        word += wid.tolist()
+        prev += hist[row].tolist()
         c_total = totals(c_acoustic, c_lm10, smeared[c_node], c_words)
 
         # merge: one sort of key << bits | index (index < 2 ** bits) orders by
@@ -276,18 +288,23 @@ def decode(
         group = np.full(order.size, -1)
         group[win] = np.arange(head.size)
         rank = group[group >= 0]
-        # fold each key's candidates in arrival order, one member per round
-        win_acoustic, win_total = c_acoustic[win], c_total[win]
-        for k in range(1, size.max()):
-            g = np.flatnonzero(size > k)
-            m = order[head[g] + k]
-            # a candidate whose own total beats the running one takes over
-            take = c_total[m] > win_total[g]
-            win[g] = np.where(take, m, win[g])
-            if cfg.mode == "max":
-                win_acoustic[g] = np.where(take, c_acoustic[m], win_acoustic[g])
-                win_total[g] = np.where(take, c_total[m], win_total[g])
-            else:
+        if cfg.mode == "max":
+            # the first arrival at the key's best total wins
+            sorted_total = c_total[order]
+            win_total = np.maximum.reduceat(sorted_total, head)
+            best_at = np.flatnonzero(sorted_total == np.repeat(win_total, size))
+            if best_at.size > head.size:  # some key has tied members: take the first
+                best_at = best_at[np.searchsorted(best_at, head)]
+            win = order[best_at]
+            win_acoustic = c_acoustic[win]
+        else:
+            # fold each key's candidates in arrival order, one member per round
+            win_acoustic, win_total = c_acoustic[win], c_total[win]
+            for k in range(1, size.max()):
+                g = np.flatnonzero(size > k)
+                m = order[head[g] + k]
+                # a candidate whose own total beats the running one takes over
+                win[g] = np.where(c_total[m] > win_total[g], m, win[g])
                 # the winner's acoustic score adds every candidate's mass
                 win_acoustic[g] = np.logaddexp(win_acoustic[g], c_acoustic[m])
                 h = win[g]
@@ -295,14 +312,17 @@ def decode(
         kept = prune(win_total[rank], c_node[win[rank]] == 0, cfg)
         h = win[rank[kept]]
         node, state, last, lm10, num_words = c_node[h], c_state[h], c_label[h], c_lm10[h], c_words[h]
-        acoustic = win_acoustic[rank[kept]]
-        words = [pool[i] for i in c_history[h].tolist()]
+        acoustic, hist = win_acoustic[rank[kept]], c_hist[h]
 
     # the words of a complete hypothesis fix its LM state and score, so
     # hypotheses sharing words differ only in acoustic score
     complete: dict[tuple, list] = {}
     for row in np.flatnonzero(node == 0).tolist():
-        complete.setdefault(words[row], []).append(row)
+        seq, h = [], int(hist[row])
+        while h >= 0:  # walk the history back to its first word
+            seq.append(word[h])
+            h = prev[h]
+        complete.setdefault(tuple(seq[::-1]), []).append(row)
     if not complete:
         raise DecodeError(
             "no complete hypothesis survived decoding "

@@ -85,16 +85,6 @@ def load_wav(path) -> Waveform:
     return Waveform(samples, rate)
 
 
-def save_wav(path, w: Waveform) -> None:
-    """Write a 16-bit mono WAV file (samples clipped to [-1, 1))."""
-    pcm = np.clip(np.round(w.samples * 32768.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as out:
-        out.setnchannels(1)
-        out.setsampwidth(2)
-        out.setframerate(w.sample_rate)
-        out.writeframes(pcm.tobytes())
-
-
 def load_pcm(path, sample_rate: int) -> Waveform:
     """Read raw little-endian 16-bit PCM with a declared sample rate; an
     odd byte count raises FeatureError naming the file."""

@@ -308,16 +308,9 @@ def smear(trie: LexiconTrie, lm: NGramLM) -> LexiconTrie:
     return trie
 
 
-def save_lexicon(trie: LexiconTrie, path) -> None:
-    """One line per word: word TAB space-separated spelling symbols."""
-    with open(path, "w", encoding="utf-8") as f:
-        for word, spelling in zip(trie.words, trie.spellings):
-            symbols = " ".join(trie.alphabet.symbols[g] for g in spelling)
-            f.write(f"{word}\t{symbols}\n")
-
-
 def load_lexicon(path, alphabet: Alphabet) -> LexiconTrie:
-    """Read a ``save_lexicon`` file; malformed input raises with a line number."""
+    """Read a lexicon file, one word a line: the word, a TAB, then its
+    spelling's symbols separated by spaces; malformed input raises with a line number."""
     words, spellings = [], []
     for lineno, line in _lines(path, LMError):
         if not line.strip():

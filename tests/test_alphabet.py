@@ -10,8 +10,9 @@ from convasr.alphabet import (
     encode_transcription,
     load_alphabet,
     make_alphabet,
-    save_alphabet,
 )
+
+from writers import save_alphabet
 
 
 @pytest.fixture

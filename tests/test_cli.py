@@ -15,9 +15,10 @@ from convasr import fileio
 from convasr.alphabet import default_alphabet, make_alphabet
 from convasr.cli import main
 from convasr.criterion import TransitionTable
-from convasr.features import Waveform, save_wav
+from convasr.features import Waveform
 
 from conftest import make_bigram_arpa
+from writers import save_wav
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

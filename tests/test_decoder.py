@@ -127,6 +127,23 @@ class TestDecodeBasics:
         with pytest.raises(ValueError, match="nbest"):
             decode(np.zeros((5, L)), TransitionTable.zeros(L), lm, lexicon, exhaustive_cfg(), nbest)
 
+    @pytest.mark.parametrize("nbest", [2.5, np.float64(2.0), "3", None])
+    def test_nbest_not_an_integer_rejected(self, tmp_path, alphabet, nbest):
+        lm, lexicon = make_setup(tmp_path, ["cab"], np.random.default_rng(1), alphabet)
+        L = len(alphabet)
+        with pytest.raises(ValueError, match="nbest"):
+            decode(np.zeros((5, L)), TransitionTable.zeros(L), lm, lexicon, exhaustive_cfg(), nbest)
+
+    @pytest.mark.parametrize("nbest", [True, np.int64(2)])
+    def test_nbest_integer_types_accepted(self, tmp_path, alphabet, nbest):
+        lm, lexicon = make_setup(tmp_path, ["cab"], np.random.default_rng(1), alphabet)
+        L = len(alphabet)
+        f = np.full((5, L), -5.0)
+        for t, ch in enumerate("cabbb"):
+            f[t, alphabet.index[ch]] = 2.0
+        results = decode(f, TransitionTable.zeros(L), lm, lexicon, exhaustive_cfg(), nbest)
+        assert 1 <= len(results) <= int(nbest) and results[0].words == ["cab"]
+
     def test_score_decomposition(self, tmp_path, alphabet):
         rng = np.random.default_rng(2)
         lm, lexicon = make_setup(tmp_path, ["ab", "cad", "bc"], rng, alphabet)
@@ -665,6 +682,25 @@ class TestTieGolden:
         assert [r[0] for r in got["nbest"]] == [["bc"], ["a"]]
         assert {"case": "word_end_commit", **got} == recorded_ties()[-1]
 
+    def test_first_arrival_wins_a_tie_between_word_histories(self, tmp_path):
+        # a unigram LM leaves every committed hypothesis in the LM state (),
+        # so the commits of "ab", "cb" and "db" at frame 1 share one key
+        # (root, (), b); "ab" arrives first but scores 1 less, and "cb"
+        # and "db" tie exactly: the earlier of the two, "cb", must win
+        arpa = tmp_path / "uni.arpa"
+        grams = "".join(f"-0.5\t{w}\n" for w in ["<s>", "</s>", "ab", "cb", "db"])
+        arpa.write_text(f"\\data\\\nngram 1=5\n\n\\1-grams:\n{grams}\n\\end\\\n")
+        alphabet = make_alphabet(LETTERS)
+        lm = load_arpa(arpa)
+        lexicon = smear(build_lexicon(["ab", "cb", "db"], alphabet), lm)
+        f = np.full((2, len(alphabet)), -5.0)
+        f[0, [alphabet.index["a"], alphabet.index["c"], alphabet.index["d"]]] = [0.0, 1.0, 1.0]
+        f[1, alphabet.index["b"]] = 2.0
+        case = (f, TransitionTable.zeros(len(alphabet)), lm, lexicon, exhaustive_cfg())
+        got = hex_nbest(*case)
+        assert [r[0] for r in got["nbest"]] == [["cb"], []]
+        assert got == hex_nbest(*case, search=oracles.reference_decode)
+
 
 def start_bound_case(tmp_path, words, peaks, trans=None, mode="max"):
     """A beam-1 decode at alpha 0 and beta 0 over ``words`` (letters
@@ -774,6 +810,15 @@ class TestConfigValidation:
     def test_bad_beam(self):
         with pytest.raises(ValueError):
             DecoderConfig(beam_size=0)
+
+    @pytest.mark.parametrize("beam_size", [2.5, np.float64(2.0), "3", None])
+    def test_beam_size_must_be_an_integer(self, beam_size):
+        with pytest.raises(ValueError, match="beam_size"):
+            DecoderConfig(beam_size=beam_size)
+
+    @pytest.mark.parametrize("beam_size", [True, np.int64(3)])
+    def test_beam_size_integer_types_accepted(self, beam_size):
+        assert DecoderConfig(beam_size=beam_size).beam_size == beam_size
 
     def test_bad_threshold(self):
         with pytest.raises(ValueError):

@@ -16,8 +16,9 @@ from convasr.features import (
     mfcc,
     normalize,
     power_spectrum,
-    save_wav,
 )
+
+from writers import save_wav
 
 RATE = 16000
 

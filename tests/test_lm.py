@@ -12,7 +12,6 @@ from convasr.lm import (
     load_arpa,
     load_lexicon,
     save_arpa,
-    save_lexicon,
     score_word,
     sentence_logprob,
     smear,
@@ -20,6 +19,7 @@ from convasr.lm import (
 
 import oracles
 from conftest import HAND_ARPA, make_bigram_arpa
+from writers import save_lexicon
 
 
 class TestArpaParser:

@@ -17,9 +17,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from convasr import alphabet as alphabet_module
 from convasr.acoustic import ConvLayerSpec, NetworkSpec, init_params
-from convasr.alphabet import AlphabetError, default_alphabet, load_alphabet, make_alphabet, save_alphabet
+from convasr.alphabet import AlphabetError, default_alphabet, load_alphabet, make_alphabet
 from convasr.criterion import TransitionTable
-from convasr.features import FeatureError, Waveform, load_pcm, load_wav, save_wav
+from convasr.features import FeatureError, Waveform, load_pcm, load_wav
 from convasr.fileio import (
     FormatError,
     load_checkpoint,
@@ -33,6 +33,7 @@ from convasr.lm import LMError, load_arpa, load_lexicon
 
 from conftest import HAND_ARPA
 from oracles import reference_load_arpa, reference_load_lexicon
+from writers import save_alphabet, save_wav
 
 LEXICON = "cat\tc a t\nball\tb a l 2\nit's\ti t ' s\n\ndog\td o g\n"
 
