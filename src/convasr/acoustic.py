@@ -13,11 +13,10 @@ convolution whose kernel width and stride are given by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
-from .criterion import EmissionTable
+from .criterion import EmissionTable, _check_count
 
 # name -> (forward, derivative at the pre-activation); a checkpoint stores
 # a nonlinearity as its index in this table: append, never reorder
@@ -44,8 +43,9 @@ class ConvLayerSpec:
     nonlinearity: str = "hardtanh"
 
     def __post_init__(self):
-        if min(self.d_in, self.d_out, self.kw, self.dw) < 1:
-            raise AcousticError("layer dimensions, kernel width and stride must be >= 1")
+        for name, size in (("layer input size", self.d_in), ("layer output size", self.d_out),
+                           ("kernel width", self.kw), ("stride", self.dw)):
+            _check_count(name, size, AcousticError)
         if self.nonlinearity not in NONLINEARITIES:
             raise AcousticError(f"unknown nonlinearity {self.nonlinearity!r}")
 
@@ -188,29 +188,19 @@ def network_backward(spec: NetworkSpec, params: ModelParams, cache, d_out: np.nd
     return grads
 
 
-def parse_network_spec(text: str) -> NetworkSpec:
-    """One layer per line: ``d_in d_out kw dw nonlinearity``.
-
-    Blank lines and lines starting with ``#`` are ignored.
-    """
-    layers = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise AcousticError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-        try:
-            d_in, d_out, kw, dw = (int(p) for p in parts[:4])
-        except ValueError:
-            raise AcousticError(f"line {lineno}: non-integer layer field") from None
-        layers.append(ConvLayerSpec(d_in, d_out, kw, dw, parts[4]))
-    return NetworkSpec(layers)
+# the reference raw-waveform network's (d_in, d_out, kw, dw, nonlinearity) rows
+_REFERENCE_ROWS = (
+    (1, 250, 240, 160, "hardtanh"),
+    (250, 250, 49, 2, "hardtanh"),
+    *[(250, 250, 8, 1, "hardtanh")] * 7,  # the narrow context layers
+    (250, 2000, 25, 1, "hardtanh"),
+    (2000, 2000, 1, 1, "hardtanh"),
+    (2000, 30, 1, 1, "none"),
+)
 
 
 def load_reference_config() -> NetworkSpec:
-    """Reference raw-waveform architecture, read from ``configs/raw_wave.cfg``.
+    """Reference raw-waveform architecture, built from ``_REFERENCE_ROWS``.
 
     Two strided front layers eat the 16 kHz sample stream, a stack of
     narrow layers widens the context, and the last two kw=1 layers act
@@ -218,5 +208,4 @@ def load_reference_config() -> NetworkSpec:
     kernel width 31280 and stride 320: a 1955 ms window stepping every
     20 ms.
     """
-    text = resources.files("convasr.configs").joinpath("raw_wave.cfg").read_text()
-    return parse_network_spec(text)
+    return NetworkSpec([ConvLayerSpec(*row) for row in _REFERENCE_ROWS])

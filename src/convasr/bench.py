@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import TransitionTable, asg_loss, ctc_loss, log_softmax
+from .criterion import TransitionTable, _check_count, asg_loss, ctc_loss, log_softmax
 
 
 @dataclass
@@ -29,8 +29,10 @@ class BenchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.transcription < 1:
-            raise ValueError("transcription size must be >= 1")
+        for key in ("frames", "vocab", "transcription", "repetitions"):
+            _check_count(key, getattr(self, key))
+        for b in self.batch_sizes:
+            _check_count("batch sizes", b)
         # labels avoid the last id (the ctc blank) and never repeat
         # adjacently, so a transcription longer than one needs two letters
         if self.vocab - 1 < min(self.transcription, 2):
@@ -38,8 +40,6 @@ class BenchConfig:
                 f"vocab {self.vocab} leaves too few letters for a "
                 f"{self.transcription}-label transcription without repeats"
             )
-        if any(b < 1 for b in self.batch_sizes):
-            raise ValueError("batch sizes must be >= 1")
         if self.transcription > self.frames:
             raise ValueError("transcription cannot be longer than the frame count")
         if self.repetitions < 3:

@@ -41,6 +41,7 @@ pass gathers the per-state emissions f[:, labels] it reads itself.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,12 @@ class CriterionError(ValueError):
 
 class InfeasibleError(CriterionError):
     """Raised when a transcription cannot fit in the given frame count."""
+
+
+def _check_count(name: str, value, error=ValueError) -> None:
+    """Raise ``error`` unless ``value`` is an integer >= 1 (bool and numpy integers pass)."""
+    if not (hasattr(type(value), "__index__") and operator.index(value) >= 1):
+        raise error(f"{name} must be >= 1 and an integer, got {value!r}")
 
 
 def _lse(x: np.ndarray, axis: int) -> np.ndarray:

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +55,7 @@ from .criterion import (
     CriterionError,
     InfeasibleError,
     TransitionTable,
+    _check_count,
     _checked_model,
     _separated_units,
     build_linear_graph,
@@ -67,12 +67,6 @@ from .lm import EOS, LN10, LexiconTrie, NGramLM, score_word, sentence_logprob
 
 class DecodeError(RuntimeError):
     """Raised when decoding cannot produce any complete hypothesis."""
-
-
-def _check_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer >= 1 (bool and numpy integers pass)."""
-    if not (hasattr(type(value), "__index__") and operator.index(value) >= 1):
-        raise ValueError(f"{name} must be an integer >= 1")
 
 
 @dataclass

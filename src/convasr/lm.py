@@ -52,112 +52,105 @@ class NGramLM:
 
 
 def load_arpa(path) -> NGramLM:
-    """Parse an ARPA model in one pass over its lines: the \\data\\ header,
-    its counts, then the sections.  Malformed input raises with a line
-    number."""
+    """Parse an ARPA model in the format's order: the \\data\\ line, the
+    count lines, then the sections up to \\end\\.  Malformed input raises
+    with a line number."""
 
     def fail(lineno, msg):
         raise ArpaParseError(f"line {lineno}: {msg}")
 
-    def declared_order(lineno):  # the counts, complete after line ``lineno``
-        if not counts:
-            fail(lineno, "no ngram counts declared")
-        if sorted(counts) != list(range(1, max(counts) + 1)):
-            fail(lineno, f"non-contiguous ngram orders {sorted(counts)}")
-        return max(counts)
+    def stripped():  # the non-blank lines, then "" one past the last line
+        lineno = 0
+        for lineno, line in _lines(path, ArpaParseError):
+            if line := line.strip():
+                yield lineno, line
+        yield lineno + 1, ""
 
-    # counts is None before \data\, tables before the first section
-    counts = tables = order = None
+    lines = stripped()
+    lineno, line = next(lines)
+    if not line:
+        fail(lineno - 1, "missing \\data\\ header")
+    if line != "\\data\\":
+        fail(lineno, f"expected \\data\\ header, got {line!r}")
+    counts = {}
+    for lineno, line in lines:
+        if not line or line[0] == "\\":
+            break
+        if not line.startswith("ngram "):
+            fail(lineno, f"expected 'ngram N=count', got {line!r}")
+        try:
+            order_part, count_part = line[len("ngram ") :].split("=")
+            n, count = int(order_part), int(count_part)
+        except ValueError:
+            fail(lineno, f"cannot parse count line {line!r}")
+        if n < 1 or count < 0:
+            fail(lineno, f"invalid ngram count {line!r}")
+        if n in counts:
+            fail(lineno, f"duplicate count for order {n}")
+        counts[n] = count
+    # the counts end on the line before the first section (or the end of file)
+    if not counts:
+        fail(lineno - 1, "no ngram counts declared")
+    max_order = max(counts)
+    if sorted(counts) != list(range(1, max_order + 1)):
+        fail(lineno - 1, f"non-contiguous ngram orders {sorted(counts)}")
+    tables = [{} for _ in range(max_order + 1)]
     vocab: dict[str, int] = {}
     words: list[str] = []
     seen_sections: set[int] = set()
-    lineno = 0
-    for lineno, line in _lines(path, ArpaParseError):
-        line = line.strip()
+    while line != "\\end\\":  # at a section header, or past the last line
         if not line:
-            continue
-        if tables is None:  # before the first section
-            if counts is None:
-                if line != "\\data\\":
-                    fail(lineno, f"expected \\data\\ header, got {line!r}")
-                counts = {}
-                continue
-            if line[0] != "\\":
-                if not line.startswith("ngram "):
-                    fail(lineno, f"expected 'ngram N=count', got {line!r}")
-                try:
-                    order_part, count_part = line[len("ngram ") :].split("=")
-                    n, count = int(order_part), int(count_part)
-                except ValueError:
-                    fail(lineno, f"cannot parse count line {line!r}")
-                if n < 1 or count < 0:
-                    fail(lineno, f"invalid ngram count {line!r}")
-                if n in counts:
-                    fail(lineno, f"duplicate count for order {n}")
-                counts[n] = count
-                continue
-            max_order = declared_order(lineno - 1)
-            tables = [dict() for _ in range(max_order + 1)]
-        if line[0] == "\\":
-            if line == "\\end\\":
-                for n in range(1, max_order + 1):
-                    if n not in seen_sections:
-                        fail(lineno, f"missing \\{n}-grams: section")
-                    if len(tables[n]) != counts[n]:
-                        fail(
-                            lineno,
-                            f"{n}-gram section has {len(tables[n])} entries, "
-                            f"header declared {counts[n]}",
-                        )
-                return NGramLM(max_order, vocab, words, tables)
-            if line.endswith("-grams:"):
-                try:
-                    order = int(line[1 : -len("-grams:")])
-                except ValueError:
-                    fail(lineno, f"bad section header {line!r}")
-                if order not in counts:
-                    fail(lineno, f"section \\{order}-grams: not declared in \\data\\")
-                if order in seen_sections:
-                    fail(lineno, f"duplicate \\{order}-grams: section")
-                seen_sections.add(order)
-                continue
-        if order is None:
+            fail(lineno - 1, "missing \\end\\ marker")
+        if not line.endswith("-grams:"):  # only the line after the counts can be neither
             fail(lineno, f"entry before any section: {line!r}")
-        parts = line.split()
-        has_backoff = len(parts) == order + 2
-        if not has_backoff and len(parts) != order + 1:
-            fail(lineno, f"expected {order + 1} or {order + 2} fields, got {len(parts)}")
-        if has_backoff and order == max_order:
-            fail(lineno, "backoff weight on highest-order entry")
         try:
-            prob = float(parts[0])
-            backoff = float(parts[-1]) if has_backoff else 0.0
+            order = int(line[1 : -len("-grams:")])
         except ValueError:
-            fail(lineno, f"bad float in entry {line!r}")
-        if not prob <= 0.0:
-            fail(lineno, f"positive or NaN log10 probability {prob}")
-        if not backoff < math.inf:
-            fail(lineno, f"infinite or NaN log10 backoff {backoff}")
-        gram_words = parts[1 : order + 1]
-        ids = []
-        for w in gram_words:
-            if order == 1:
-                if w in vocab:
-                    fail(lineno, f"duplicate unigram {w!r}")
-                vocab[w] = len(words)
-                words.append(w)
-            elif w not in vocab:
-                fail(lineno, f"word {w!r} not in unigram vocabulary")
-            ids.append(vocab[w])
-        key = tuple(ids)
-        if key in tables[order]:
-            fail(lineno, f"duplicate {order}-gram {' '.join(gram_words)!r}")
-        tables[order][key] = (prob, backoff)
-    if counts is None:
-        fail(lineno, "missing \\data\\ header")
-    if tables is None:
-        declared_order(lineno)
-    fail(lineno, "missing \\end\\ marker")
+            fail(lineno, f"bad section header {line!r}")
+        if order not in counts:
+            fail(lineno, f"section \\{order}-grams: not declared in \\data\\")
+        if order in seen_sections:
+            fail(lineno, f"duplicate \\{order}-grams: section")
+        seen_sections.add(order)
+        for lineno, line in lines:
+            if not line or line[0] == "\\" and (line == "\\end\\" or line.endswith("-grams:")):
+                break
+            parts = line.split()
+            has_backoff = len(parts) == order + 2
+            if not has_backoff and len(parts) != order + 1:
+                fail(lineno, f"expected {order + 1} or {order + 2} fields, got {len(parts)}")
+            if has_backoff and order == max_order:
+                fail(lineno, "backoff weight on highest-order entry")
+            try:
+                prob = float(parts[0])
+                backoff = float(parts[-1]) if has_backoff else 0.0
+            except ValueError:
+                fail(lineno, f"bad float in entry {line!r}")
+            if not prob <= 0.0:
+                fail(lineno, f"positive or NaN log10 probability {prob}")
+            if not backoff < math.inf:
+                fail(lineno, f"infinite or NaN log10 backoff {backoff}")
+            gram_words = parts[1 : order + 1]
+            ids = []
+            for w in gram_words:
+                if order == 1:
+                    if w in vocab:
+                        fail(lineno, f"duplicate unigram {w!r}")
+                    vocab[w] = len(words)
+                    words.append(w)
+                elif w not in vocab:
+                    fail(lineno, f"word {w!r} not in unigram vocabulary")
+                ids.append(vocab[w])
+            key = tuple(ids)
+            if key in tables[order]:
+                fail(lineno, f"duplicate {order}-gram {' '.join(gram_words)!r}")
+            tables[order][key] = (prob, backoff)
+    for n in range(1, max_order + 1):
+        if n not in seen_sections:
+            fail(lineno, f"missing \\{n}-grams: section")
+        if len(tables[n]) != counts[n]:
+            fail(lineno, f"{n}-gram section has {len(tables[n])} entries, header declared {counts[n]}")
+    return NGramLM(max_order, vocab, words, tables)
 
 
 def save_arpa(lm: NGramLM, path) -> None:

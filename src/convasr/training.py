@@ -27,7 +27,7 @@ from .acoustic import (
     network_backward,
     network_forward_cached,
 )
-from .criterion import TransitionTable, _checked_model, asg_loss, build_full_graph, viterbi
+from .criterion import TransitionTable, _check_count, _checked_model, asg_loss, build_full_graph, viterbi
 from .features import SAMPLE_RATE, WINDOW_MS, Waveform, mfcc, normalize
 from .metrics import error_rate
 
@@ -47,14 +47,15 @@ class ToyTaskConfig:
     def __post_init__(self):
         if len(self.tone_hz) < len(self.letters):
             raise ValueError("toy task 'tone_hz' needs one tone frequency per letter")
-        if not 1 <= self.min_word_len <= self.max_word_len:
+        for key in ("num_samples", "min_word_len", "max_word_len"):
+            _check_count(f"toy task {key!r}", getattr(self, key))
+        if not self.min_word_len <= self.max_word_len:
             raise ValueError(
                 f"toy task 'min_word_len' {self.min_word_len} is not from 1 to 'max_word_len' {self.max_word_len}"
             )
         window = int(round(SAMPLE_RATE * WINDOW_MS / 1000.0))  # a tone lasts int(ms / 1000 * rate) samples
         tone_ms = 0.0 < self.min_tone_ms <= self.max_tone_ms < np.inf
         for key, ok, want in (
-            ("num_samples", self.num_samples >= 1, "at least 1"),
             ("seed", self.seed >= 0, "non-negative"),
             ("tone_hz", all(0.0 < hz < np.inf for hz in self.tone_hz), "finite and > 0"),
             ("min_tone_ms", tone_ms and int(self.min_tone_ms / 1000.0 * SAMPLE_RATE) >= window,
@@ -114,8 +115,8 @@ class TrainConfig:
     stop_ler: float | None = None  # stop early once held-out LER drops below
 
     def __post_init__(self):
+        _check_count("training 'epochs'", self.epochs)
         for key, ok, want in (
-            ("epochs", self.epochs >= 1, "at least 1"),
             ("learning_rate", 0.0 <= self.learning_rate < np.inf, "finite and >= 0"),
             ("clip_norm", self.clip_norm > 0, "> 0"),
             ("holdout_fraction", 0.0 <= self.holdout_fraction < 1.0, "in [0, 1)"),

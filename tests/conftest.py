@@ -1,7 +1,11 @@
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from convasr.criterion import TransitionTable
+from convasr.training import ToyTaskConfig, TrainConfig, default_toy_network, make_toy_dataset, train_toy
 
 # backoff fixture with hand-computable queries (log10 everywhere)
 HAND_ARPA = """\
@@ -31,6 +35,19 @@ def hand_arpa(tmp_path):
     path = tmp_path / "hand.arpa"
     path.write_text(HAND_ARPA)
     return path
+
+
+@pytest.fixture(scope="session")
+def criterion_5_run():
+    """Acceptance criterion 5's toy model, trained once per session: its
+    ``alphabet``, ``data``, ``spec``, ``train_toy`` ``result`` and the
+    ``elapsed`` seconds of rendering and training."""
+    start = time.perf_counter()
+    alphabet, data = make_toy_dataset(ToyTaskConfig(num_samples=500, seed=20, noise_std=0.6))
+    spec = default_toy_network(39, len(alphabet))
+    result = train_toy(data, alphabet, spec, TrainConfig(epochs=12, learning_rate=0.008, seed=20))
+    elapsed = time.perf_counter() - start
+    return SimpleNamespace(alphabet=alphabet, data=data, spec=spec, result=result, elapsed=elapsed)
 
 
 def make_bigram_arpa(path, words, rng, backoff_prob=0.6):

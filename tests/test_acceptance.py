@@ -36,7 +36,6 @@ from convasr.criterion import (
 from convasr.decoder import DecodeError, DecoderConfig, decode, exhaustive_decode
 from convasr.fileio import read_matrix, write_matrix
 from convasr.lm import build_lexicon, load_arpa, save_arpa, score_word, smear
-from convasr.training import ToyTaskConfig, TrainConfig, default_toy_network, make_toy_dataset, train_toy
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -231,15 +230,10 @@ def test_criterion_4_decoder_oracle(tmp_path):
         assert compared >= 40  # nearly all fixtures decode successfully
 
 
-def test_criterion_5_toy_training():
+def test_criterion_5_toy_training(criterion_5_run):
     """Seeded toy task reaches held-out LER < 10% and matches the golden curve."""
     with criterion_report(5, "end-to-end toy training (LER < 10%, golden curve, < 5 min)"):
-        start = time.perf_counter()
-        task = ToyTaskConfig(num_samples=500, seed=20, noise_std=0.6)
-        alphabet, data = make_toy_dataset(task)
-        spec = default_toy_network(39, len(alphabet))
-        result = train_toy(data, alphabet, spec, TrainConfig(epochs=12, learning_rate=0.008, seed=20))
-        elapsed = time.perf_counter() - start
+        result, elapsed = criterion_5_run.result, criterion_5_run.elapsed
         assert elapsed < 300.0, f"took {elapsed:.0f}s"
         assert len(result.curve) <= 50
         assert min(s.ler for s in result.curve) < 0.10

@@ -14,7 +14,6 @@ from convasr.acoustic import (
     network_backward,
     network_forward,
     network_forward_cached,
-    parse_network_spec,
     receptive_field,
 )
 
@@ -299,18 +298,12 @@ class TestNetwork:
 
 
 class TestSpecParsing:
-    def test_comments_and_blanks_ignored(self):
-        spec = parse_network_spec("# comment\n\n1 2 3 1 relu\n")
-        assert spec.layers == (ConvLayerSpec(1, 2, 3, 1, "relu"),)
-
-    def test_bad_field_count(self):
-        with pytest.raises(AcousticError, match="line 1"):
-            parse_network_spec("1 2 3 1\n")
-
-    def test_bad_nonlinearity(self):
-        with pytest.raises(AcousticError):
-            parse_network_spec("1 2 3 1 sigmoid\n")
-
     def test_channel_chain_validated(self):
         with pytest.raises(AcousticError):
             NetworkSpec([ConvLayerSpec(1, 2, 3, 1), ConvLayerSpec(3, 2, 1, 1)])
+
+
+def test_layer_sizes_must_be_integers():
+    # a float kernel width used to build, then fail in init_params and conv1d_forward
+    with pytest.raises(AcousticError, match="kernel width"):
+        ConvLayerSpec(3, 2, 2.5, 1)

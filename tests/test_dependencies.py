@@ -1,5 +1,6 @@
 """numpy is the only runtime dependency: every module of the package
-imports from the standard library, numpy or the package itself.  Within
+imports from the standard library, numpy or the package itself, and the
+package is its Python modules alone, with no data files.  Within
 the package the imports form no cycle, and the lattice module, whose
 chain rule the decoder shares, sits at the bottom: it imports no other
 module of the package.  Only the decoder raises ``DecodeError``, the CLI's
@@ -35,6 +36,15 @@ def test_imports_only_the_stdlib_and_numpy(path):
 def test_an_import_outside_them_is_caught():
     tree = ast.parse("import os\nfrom numpy import linalg\nfrom . import lm\nimport scipy.signal")
     assert imported_roots(tree) - ALLOWED == {"scipy"}
+
+
+def test_the_package_ships_python_modules_only():
+    tomllib = pytest.importorskip("tomllib")
+    package = SOURCES[0].parent
+    files = [p for p in package.rglob("*") if p.is_file() and "__pycache__" not in p.parts]
+    assert [p.relative_to(package) for p in files if p.suffix != ".py"] == []
+    pyproject = tomllib.loads((package.parent.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "package-data" not in pyproject["tool"]["setuptools"]
 
 
 def package_imports(trees: dict) -> dict:

@@ -492,6 +492,11 @@ def _checked(build, names, bad):
     return cfg
 
 
+def _not_count(x, low=1):
+    """True unless ``x`` is an integer >= ``low``."""
+    return not (isinstance(x, int) and x >= low)
+
+
 def _quoted(fields):
     return {k: f"'{k}'" for k in fields}
 
@@ -503,9 +508,9 @@ _TOY = {
         st.lists(st.sampled_from(_TOY_LETTERS), min_size=2, max_size=4, unique=True).map("".join),
         st.text(alphabet=_TOY_LETTERS + "A|2 ", max_size=4),
     ),
-    "num_samples": (st.integers(1, 3), st.integers(-2, 0)),
-    "min_word_len": (st.integers(1, 2), st.integers(3, 5) | st.integers(-1, 0)),
-    "max_word_len": (st.integers(2, 4), st.integers(-1, 1)),
+    "num_samples": (st.integers(1, 3), st.integers(-2, 0) | st.just(2.5)),
+    "min_word_len": (st.integers(1, 2), st.integers(3, 5) | st.integers(-1, 0) | st.just(1.5)),
+    "max_word_len": (st.integers(2, 4), st.integers(-1, 1) | st.just(2.5)),
     "tone_hz": (
         st.just((300.0, 700.0, 1300.0, 2200.0)),
         st.sampled_from([(), (300.0,), (300.0, 0.0, 1300.0, 2200.0), (300.0, _NAN, 1300.0, _INF)]),
@@ -516,7 +521,7 @@ _TOY = {
     "noise_std": (st.floats(0.0, 0.5), st.sampled_from([-0.1, _NAN, _INF])),
 }
 _TRAIN = {
-    "epochs": (st.integers(1, 3), st.integers(-1, 0)),
+    "epochs": (st.integers(1, 3), st.integers(-1, 0) | st.just(2.5)),
     "learning_rate": (st.floats(0.0, 0.5), st.sampled_from([-0.5, -1e-300, _NAN, _INF, -_INF])),
     "clip_norm": (st.floats(1e-3, 5.0) | st.just(_INF), st.sampled_from([0.0, -1.0, _NAN, -_INF])),
     "holdout_fraction": (st.floats(0.0, 0.99), st.sampled_from([1.0, 1.5, -0.1, _NAN, _INF])),
@@ -532,11 +537,11 @@ _DECODER = {
     "silence": (st.sampled_from(["none", "optional", "mandatory"]), st.sampled_from(["always", ""])),
 }
 _BENCH = {
-    "frames": (st.integers(6, 8), st.integers(0, 2)),
-    "vocab": (st.integers(3, 5), st.integers(0, 1)),
-    "transcription": (st.integers(1, 6), st.integers(-1, 0)),
-    "batch_sizes": (st.lists(st.integers(1, 2), max_size=2).map(tuple), st.sampled_from([(0,), (1, -1)])),
-    "repetitions": (st.integers(3, 4), st.integers(0, 2)),
+    "frames": (st.integers(6, 8), st.integers(0, 2) | st.just(7.5)),
+    "vocab": (st.integers(3, 5), st.integers(0, 1) | st.just(3.5)),
+    "transcription": (st.integers(1, 6), st.integers(-1, 0) | st.just(2.5)),
+    "batch_sizes": (st.lists(st.integers(1, 2), max_size=2).map(tuple), st.sampled_from([(0,), (1, -1), (1.5,)])),
+    "repetitions": (st.integers(3, 4), st.integers(0, 2) | st.just(3.5)),
     "criteria": (st.lists(st.sampled_from(["asg", "ctc"]), max_size=2).map(tuple), st.sampled_from([("hmm",), ("asg", "CTC")])),
 }
 
@@ -566,9 +571,9 @@ class TestConfigsCheckThemselves:
         need = 2 if hi > 1 else 1  # one letter cannot alternate: it used to loop forever
         bad = {
             "letters": not len(set(letters)) == len(letters) >= need or not set(letters) <= set(_TOY_LETTERS),
-            "num_samples": v["num_samples"] < 1,
-            "min_word_len": not 1 <= lo <= hi,
-            "max_word_len": lo > hi,
+            "num_samples": _not_count(v["num_samples"]),
+            "min_word_len": _not_count(lo) or not lo <= hi,
+            "max_word_len": _not_count(hi) or lo > hi,
             "tone_hz": len(v["tone_hz"]) < len(letters) or not all(0.0 < hz < math.inf for hz in v["tone_hz"]),
             "seed": v["seed"] < 0,
             "min_tone_ms": not 25.0 <= v["min_tone_ms"] <= v["max_tone_ms"] < math.inf,  # 25 ms: one window
@@ -588,7 +593,7 @@ class TestConfigsCheckThemselves:
     @given(_config_fields(_TRAIN))
     def test_train(self, four_utterances, v):
         bad = {
-            "epochs": v["epochs"] < 1,
+            "epochs": _not_count(v["epochs"]),
             "learning_rate": not 0.0 <= v["learning_rate"] < math.inf,
             "clip_norm": not v["clip_norm"] > 0.0,
             "holdout_fraction": not 0.0 <= v["holdout_fraction"] < 1.0,
@@ -630,11 +635,11 @@ class TestConfigsCheckThemselves:
     def test_bench(self, v):
         frames, vocab, size = v["frames"], v["vocab"], v["transcription"]
         bad = {
-            "frames": size > frames,
-            "vocab": vocab - 1 < min(size, 2),
-            "transcription": not 1 <= size <= frames or vocab - 1 < min(size, 2),
-            "batch_sizes": any(b < 1 for b in v["batch_sizes"]),
-            "repetitions": v["repetitions"] < 3,
+            "frames": _not_count(frames) or size > frames,
+            "vocab": _not_count(vocab) or vocab - 1 < min(size, 2),
+            "transcription": _not_count(size) or size > frames or vocab - 1 < min(size, 2),
+            "batch_sizes": any(_not_count(b) for b in v["batch_sizes"]),
+            "repetitions": _not_count(v["repetitions"], 3),
             "criteria": any(c not in ("asg", "ctc") for c in v["criteria"]),
         }
         # these messages name the fields in words

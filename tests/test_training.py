@@ -151,19 +151,6 @@ class TestTrainToy:
         with pytest.raises(Exception, match="alphabet"):
             train_toy(data, alphabet, spec, TrainConfig(epochs=1))
 
-    def test_seeded_run_reproduces_golden_curve(self):
-        import pathlib
-
-        golden = (pathlib.Path(__file__).parent / "golden" / "toy_curve_acceptance.csv").read_text()
-        task = ToyTaskConfig(num_samples=500, seed=20, noise_std=0.6)
-        alphabet, data = make_toy_dataset(task)
-        spec = default_toy_network(39, len(alphabet))
-        res = train_toy(data, alphabet, spec, TrainConfig(epochs=12, learning_rate=0.008, seed=20))
-        rows = ["epoch,edits,ref_length,ler"]
-        for s in res.curve:
-            rows.append(f"{s.epoch},{s.edit_count},{s.ref_length},{s.ler:.6f}")
-        assert "\n".join(rows) + "\n" == golden
-
     def test_every_step_takes_the_scaled_path(self, monkeypatch):
         # the training benchmark's tone words (16-24 of its 8-24 letters over
         # a-z, 180-250 ms each) and network: numerator chains of 16-24 states
