@@ -12,9 +12,13 @@ word boundaries too), the weighted language model, and a per-word term:
 
 The frontier is a set of parallel arrays of trie node ids and search
 state, a word history being an index into two append-only lists (last
-word, earlier entry).  Each frame builds its candidates in arrival order:
-per hypothesis its stay, its silence (at the root) and its advances in
-grapheme order, each advance followed by the word commits it completes.
+word, earlier entry).  Off the root a hypothesis's moves depend on its
+node alone (its last label is the node's), so the trie lists them once
+as rows (``LexiconTrie.rows``): per node its stay, the root's silence,
+then per child its advance and one commit per word ending there.  A frame
+expands the frontier into its nodes' rows in arrival order and masks the
+root hypotheses' rows: no stay on the virtual start label, no silence
+after silence, and only the word starts built (below).
 One sort of packed integers (key, then arrival index) gathers the
 candidates of each key (trie node, LM state, last label), and a mask
 over the candidates ranks the keys by first arrival.  "max" mode folds
@@ -118,7 +122,7 @@ def prune(total: np.ndarray, at_root: np.ndarray, cfg: DecoderConfig) -> np.ndar
     discarding one can make a wider beam fail where a narrower one
     succeeded.  The threshold still applies to them.
     """
-    kept = np.flatnonzero(total >= total.max(initial=-np.inf) - cfg.beam_threshold)
+    kept = (total >= total.max(initial=-np.inf) - cfg.beam_threshold).nonzero()[0]
     keep = at_root[kept]  # root keys, whatever the cap
     score = total[kept[~keep]]
     if score.size > cfg.beam_size:
@@ -126,7 +130,7 @@ def prune(total: np.ndarray, at_root: np.ndarray, cfg: DecoderConfig) -> np.ndar
         # in index order until the cap is full
         kth = np.partition(score, -cfg.beam_size)[-cfg.beam_size]
         top = score > kth
-        top[np.flatnonzero(score == kth)[: cfg.beam_size - np.count_nonzero(top)]] = True
+        top[(score == kth).nonzero()[0][: cfg.beam_size - np.count_nonzero(top)]] = True
         keep[~keep] = top
         kept = kept[keep]
     return kept
@@ -169,11 +173,21 @@ def decode(
     # transition row is the start score, so frame 0 expands like the rest
     begin = f.shape[1]
     trans = np.vstack([transitions.trans, transitions.start])
-    first, label, ends, num_ends = lexicon.first, lexicon.label, lexicon.ends, lexicon.num_ends
+    first, label, num_ends = lexicon.first, lexicon.label, lexicon.num_ends
     smeared = np.concatenate([[0.0], lexicon.smeared[1:]])  # the root holds no partial word
     kids = np.arange(first[0], first[1])  # the root's children, depth 1
     kid_label, kid_ends = label[kids], num_ends[kids] > 0
-    kid_trans = trans[:, kid_label]  # into each root child
+    kid_trans, kid_index = trans[:, kid_label], np.arange(kids.size)  # into each root child
+    rows_first, num_rows = lexicon.rows_first, np.diff(lexicon.rows_first)
+    # by its last label, which of the root's rows a root hypothesis takes: its
+    # stay (not on the virtual start label), its silence (not after silence)
+    # and the starts onto another label (after a word, only after silence if mandatory)
+    last_label = np.arange(begin + 1)[:, None]
+    may_start = (cfg.silence != "mandatory") | (last_label == sil) | (last_label == begin)
+    can_start = (kid_label != last_label) & may_start
+    root_kid = np.arange(kids.size).repeat(1 + num_ends[kids])  # of the root's rows 2 on
+    silence_ok = (last_label != sil) & (cfg.silence != "none")
+    root_on = np.hstack([last_label != begin, silence_ok, can_start[:, root_kid]])
     # LM states are interned to ints, in order of first use
     states = [lm.start_state()]
     state_ids = {states[0]: 0}
@@ -199,84 +213,80 @@ def decode(
     for frame in f:
         # the word starts to build (module docstring), root hypotheses x
         # root children; their totals add up as the candidates' do below
-        r = np.flatnonzero(node == 0)
-        build = kid_label != last[r, None]
-        if cfg.silence == "mandatory":  # after a word, a new word needs silence first
-            build &= ((last[r] == sil) | (last[r] == begin))[:, None]
+        at_root = node == 0
+        r = at_root.nonzero()[0]
+        last_r = last[r]
+        on = root_on.take(last_r, axis=0)
         if cfg.mode == "max":
-            start_acoustic = (acoustic[r, None] + kid_trans[last[r]]) + frame[kid_label]
+            start_acoustic = kid_trans.take(last_r, axis=0)  # + acoustic: addition commutes exactly
+            start_acoustic += acoustic[r, None]
+            start_acoustic += frame[kid_label]
             start = totals(start_acoustic, lm10[r, None], smeared[kids], num_words[r, None])
             # rank the root rows' LM states in id order, O(states interned) a frame
             present = np.zeros(len(states), dtype=bool)
             present[state[r]] = True
-            lm_rank = np.cumsum(present) - 1
-            cell = lm_rank[state[r], None] * kids.size + np.arange(kids.size)  # (LM state, child)
+            lm_rank = present.cumsum() - 1
+            cell = (lm_rank[state[r]] * kids.size)[:, None] + kid_index  # (LM state, child)
             best = np.full((lm_rank[-1] + 1) * kids.size, -np.inf)
-            np.maximum.at(best, cell.ravel(), np.where(build, start, -np.inf).ravel())
+            np.maximum.at(best, cell.ravel(), np.where(can_start.take(last_r, axis=0), start, -np.inf).ravel())
             if best.size >= cfg.beam_size:
                 keep = best >= np.partition(best, -cfg.beam_size)[-cfg.beam_size]
                 # a depth-1 hypothesis's stay has its node and LM state's key
-                d1 = np.flatnonzero((node >= first[0]) & (node < first[1]))
+                d1 = ((node >= first[0]) & (node < first[1])).nonzero()[0]
                 d1 = d1[present[state[d1]]]
                 keep[lm_rank[state[d1]] * kids.size + node[d1] - first[0]] = True
-                build &= keep[cell] | kid_ends
-        # every hypothesis owns slots 0 (stay), 1 (silence) and 2 on (one per
-        # child in grapheme order, or per start built); a slot that cannot move is masked
-        count = 2 + first[node + 1] - first[node]
-        count[r] = 2 + build.sum(axis=1)
-        src = np.repeat(np.arange(node.size), count)
-        slot = np.arange(src.size) - np.repeat(np.cumsum(count) - count, count)
-        stay, silence = slot == 0, slot == 1
-        from_node, from_last = node[src], last[src]
-        at_root = from_node == 0
-        to = np.where(stay, from_node, np.where(silence, 0, first[from_node] + slot - 2))
-        to[at_root & (slot >= 2)] = np.repeat(kids[None], r.size, axis=0)[build]
-        lab = np.where(stay, from_last, np.where(silence, sil, label[to]))
-        # the virtual start label cannot stay; advancing onto the last
-        # label is indistinguishable from staying (identical letters need
-        # silence or another word in between)
-        ok = np.where(stay, from_last != begin, lab != from_last)
-        ok &= ~silence | (at_root & (cfg.silence != "none"))
-        pos = np.flatnonzero(ok)
-        src, to, lab = src[pos], to[pos], lab[pos]
-        moved = (acoustic[src] + trans[last[src], lab]) + frame[lab]
+                on[:, 2:] &= (keep.take(cell) | kid_ends)[:, root_kid]
+        # the candidates: each hypothesis's node's rows in arrival order, those
+        # of a root hypothesis masked (module docstring)
+        taken = on.ravel().nonzero()[0]  # root hypothesis x root row
+        bounds = taken.searchsorted(on.shape[1] * np.arange(r.size + 1))
+        count = num_rows[node]
+        count[r] = bounds[1:] - bounds[:-1]
+        stop = count.cumsum()
+        src = np.arange(node.size).repeat(count)
+        row = np.arange(stop[-1]) + (rows_first[node] + count - stop).repeat(count)
+        row[at_root[src]] = taken % on.shape[1]
+        to, lab, wid = lexicon.rows.take(row, axis=1)
+        stays = r[on[:, 0]]
+        lab[stop[stays] - count[stays]] = last[stays]  # a root stay's row reads label -1
+        moved = (acoustic[src] + trans.take(last[src] * trans.shape[1] + lab)) + frame[lab]
 
-        # an advance (not a stay) onto a word end is followed by its committed
-        # copies at the root: the array order is the candidates' arrival order
-        commits = np.where(slot[pos] >= 2, num_ends[to], 0)
-        at = np.repeat(np.arange(pos.size), 1 + commits)  # each one's advance
-        is_commit = np.concatenate([[False], at[1:] == at[:-1]])  # all but an advance's first
-        c_src, row = src[at], src[at[is_commit]]  # each candidate's hypothesis, each commit's
-        wid = np.array([w for n in to[commits > 0].tolist() for w in ends[n]], dtype=np.intp)
-        scored = []  # per commit (log10 score, next state id): one score_word per new pair
-        for pair in (state[row] * vocab + wid).tolist():
-            if pair not in memo:
+        # a commit goes back to the root with its word scored: one score_word per new pair
+        is_commit = wid >= 0
+        commit = is_commit.nonzero()[0]
+        owner, wid = src[commit], wid[commit]
+        mass, goes = [], []
+        for pair in (state[owner] * vocab + wid).tolist():
+            hit = memo.get(pair)
+            if hit is None:
                 s, new = score_word(lm, states[pair // vocab], lexicon.words[pair % vocab])
                 if new not in state_ids:
                     state_ids[new] = len(states)
                     states.append(new)
-                memo[pair] = s, state_ids[new]
-            scored.append(memo[pair])
-        mass, goes = np.array(scored, dtype=float).reshape(-1, 2).T  # state ids exact as floats
-        c_label, c_acoustic = lab[at], moved[at]
-        c_node, c_words = np.where(is_commit, 0, to[at]), num_words[c_src] + is_commit
-        c_state, c_lm10, c_hist = state[c_src], lm10[c_src], hist[c_src]
-        c_state[is_commit] = goes
-        c_lm10[is_commit] += mass
-        c_hist[is_commit] = np.arange(len(word), len(word) + wid.size)
+                hit = memo[pair] = s, state_ids[new]
+            mass.append(hit[0])
+            goes.append(hit[1])
+        c_words = num_words[src] + is_commit
+        c_state, c_lm10, c_hist = state[src], lm10[src], hist[src]
+        c_state[commit] = goes
+        c_lm10[commit] += mass
+        c_hist[commit] = np.arange(len(word), len(word) + commit.size)
         word += wid.tolist()
-        prev += hist[row].tolist()
-        c_total = totals(c_acoustic, c_lm10, smeared[c_node], c_words)
+        prev += hist[owner].tolist()
+        c_total = totals(moved, c_lm10, smeared[to], c_words)
 
         # merge: one sort of key << bits | index (index < 2 ** bits) orders by
         # key, then arrival; int64 holds it while key < 2 ** (63 - bits), and
         # key < nodes x LM states x labels, under 2 ** 29 for 7512 x 2003 x 30
-        key = (c_node * len(states) + c_state) * begin + c_label
+        key = (to * len(states) + c_state) * begin + lab
         bits = key.size.bit_length()
-        packed = np.sort(key << bits | np.arange(key.size))
+        packed = key << bits | np.arange(key.size)
+        packed.sort()
         order, key = packed & ((1 << bits) - 1), packed >> bits
-        head = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-        size = np.diff(np.concatenate([head, [order.size]]))
+        is_head = np.empty(key.size, dtype=bool)
+        is_head[0] = True
+        np.not_equal(key[1:], key[:-1], out=is_head[1:])
+        head = is_head.nonzero()[0]
         win = order[head]
         # the keys in first-arrival order: mark each key at its first member
         group = np.full(order.size, -1)
@@ -286,27 +296,27 @@ def decode(
             # the first arrival at the key's best total wins
             sorted_total = c_total[order]
             win_total = np.maximum.reduceat(sorted_total, head)
-            best_at = np.flatnonzero(sorted_total == np.repeat(win_total, size))
+            best_at = (sorted_total == win_total[is_head.cumsum() - 1]).nonzero()[0]
             if best_at.size > head.size:  # some key has tied members: take the first
                 best_at = best_at[np.searchsorted(best_at, head)]
             win = order[best_at]
-            win_acoustic = c_acoustic[win]
         else:
             # fold each key's candidates in arrival order, one member per round
-            win_acoustic, win_total = c_acoustic[win], c_total[win]
+            size = np.diff(head, append=order.size)
+            win_acoustic, win_total = moved[win], c_total[win]
             for k in range(1, size.max()):
-                g = np.flatnonzero(size > k)
+                g = (size > k).nonzero()[0]
                 m = order[head[g] + k]
                 # a candidate whose own total beats the running one takes over
                 win[g] = np.where(c_total[m] > win_total[g], m, win[g])
                 # the winner's acoustic score adds every candidate's mass
-                win_acoustic[g] = np.logaddexp(win_acoustic[g], c_acoustic[m])
+                win_acoustic[g] = np.logaddexp(win_acoustic[g], moved[m])
                 h = win[g]
-                win_total[g] = totals(win_acoustic[g], c_lm10[h], smeared[c_node[h]], c_words[h])
-        kept = prune(win_total[rank], c_node[win[rank]] == 0, cfg)
-        h = win[rank[kept]]
-        node, state, last, lm10, num_words = c_node[h], c_state[h], c_label[h], c_lm10[h], c_words[h]
-        acoustic, hist = win_acoustic[rank[kept]], c_hist[h]
+                win_total[g] = totals(win_acoustic[g], c_lm10[h], smeared[to[h]], c_words[h])
+        kept = rank[prune(win_total[rank], to[win[rank]] == 0, cfg)]
+        h = win[kept]
+        node, state, last, lm10, num_words = to[h], c_state[h], lab[h], c_lm10[h], c_words[h]
+        acoustic, hist = (moved[h] if cfg.mode == "max" else win_acoustic[kept]), c_hist[h]
 
     # the words of a complete hypothesis fix its LM state and score, so
     # hypotheses sharing words differ only in acoustic score

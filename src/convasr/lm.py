@@ -228,6 +228,9 @@ class LexiconTrie:
     ends: list = field(init=False)  # node -> ids of the words spelled to it
     num_ends: np.ndarray = field(init=False)  # node -> len(ends[node])
     smeared: np.ndarray = field(init=False)  # node -> best unigram log10 below it
+    # a decoder hypothesis on node n moves by rows[:, rows_first[n]:rows_first[n + 1]]
+    rows_first: np.ndarray = field(init=False)
+    rows: np.ndarray = field(init=False)  # (3, R): target node, label, committed word id or -1
 
     def __post_init__(self):
         # level by level, a level's nodes being its sorted (parent, grapheme) keys
@@ -248,6 +251,21 @@ class LexiconTrie:
             self.ends[node].append(wid)
         self.num_ends = np.array([len(e) for e in self.ends])
         self.smeared = np.zeros(len(keys))
+        # a node's rows: its stay (on label -1 at the root), the root's silence,
+        # then per child its advance and one commit back to the root per word
+        # ending there; an edge repeating its parent's label never advances
+        moves = (self.label != self.label[parent]) & (parent >= 0)
+        at, nodes = np.array(at, dtype=np.intp), np.arange(len(keys))
+        move, commit = moves.nonzero()[0], moves[at].nonzero()[0]
+        word_at = at[commit]
+        to = np.concatenate([nodes, [0], move, np.zeros_like(commit)])
+        lab = np.concatenate([self.label, [self.alphabet.silence_id], self.label[move], self.label[word_at]])
+        wid = np.concatenate([np.full(nodes.size + 1 + move.size, -1), commit])
+        owner = np.concatenate([nodes, [0], parent[move], parent[word_at]])
+        # a stay sorts before its node's first child, an advance before its commits
+        key = np.concatenate([2 * self.first[:-1], [2 * self.first[0]], 2 * move + 1, 2 * word_at + 1])
+        self.rows = np.stack([to, lab, wid]).take(key.argsort(kind="stable"), axis=1)
+        self.rows_first = np.concatenate([[0], np.bincount(owner, minlength=nodes.size).cumsum()])
 
     @property
     def num_words(self) -> int:

@@ -100,7 +100,8 @@ class TestRun:
                         repetitions=3, criteria=("ctc",), seed=4)
         )
         write_csv(rows, tmp_path / "b.csv")
-        back = list(csv.DictReader(open(tmp_path / "b.csv")))
+        with open(tmp_path / "b.csv") as fh:
+            back = list(csv.DictReader(fh))
         assert len(back) == 1
         assert back[0]["criterion"] == "ctc"
         assert float(back[0]["median_ms"]) == pytest.approx(rows[0].median_ms, abs=1e-6)

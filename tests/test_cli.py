@@ -417,7 +417,8 @@ class TestTrainToyCommand:
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         code, _, _ = run(capsys, "train-toy", "--config", tmp_path / "cfg.json")
         assert code == 0
-        rows = list(csv.DictReader(open(tmp_path / "c.csv")))
+        with open(tmp_path / "c.csv") as fh:
+            rows = list(csv.DictReader(fh))
         assert len({r["ler"] for r in rows}) == 1
 
 
@@ -641,7 +642,8 @@ class TestBenchCommand:
             "--seed", "7", "--csv", tmp_path / "bench.csv",
         )
         assert code == 0 and "criterion" in out
-        rows = list(csv.DictReader(open(tmp_path / "bench.csv")))
+        with open(tmp_path / "bench.csv") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert rows[0]["criterion"] == "asg"
         assert int(rows[0]["batch"]) == 1 and int(rows[1]["batch"]) == 2

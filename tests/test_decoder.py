@@ -16,7 +16,7 @@ from convasr.decoder import (
     exhaustive_decode,
     prune,
 )
-from convasr.lm import build_lexicon, load_arpa, score_word, smear
+from convasr.lm import LexiconTrie, build_lexicon, load_arpa, score_word, smear
 
 import oracles
 from conftest import make_bigram_arpa, random_transitions
@@ -251,6 +251,52 @@ class TestDecodeBasics:
         assert hex_nbest(f, tr, lm, lexicon, exhaustive_cfg()) == want
         commits = [q for q in queries if q[1] != "</s>"]
         assert commits and len(commits) == len(set(commits))
+
+    def test_rows_hold_no_lm_state(self, tmp_path, alphabet):
+        # a trie decoded under one LM, then smeared with another, searches
+        # as a trie built fresh for the second: its rows are the same
+        rng = np.random.default_rng(13)
+        words = lexicon_with_a_letter(rng, 5, 7)
+        lm = load_arpa(make_bigram_arpa(tmp_path / "lm.arpa", words, rng))
+        lm2 = load_arpa(make_bigram_arpa(tmp_path / "lm2.arpa", words, rng))
+        f, tr = rng.normal(size=(10, len(alphabet))), random_transitions(rng, len(alphabet))
+        lexicon = smear(build_lexicon(words, alphabet), lm)
+        fresh = smear(build_lexicon(words, alphabet), lm2)
+        for mode in ("max", "logadd"):
+            cfg = DecoderConfig(alpha=1.0, beta=-0.5, beam_size=3, mode=mode)
+            hex_nbest(f, tr, lm, lexicon, cfg)
+            smear(lexicon, lm2)
+            np.testing.assert_array_equal(lexicon.rows, fresh.rows)
+            np.testing.assert_array_equal(lexicon.rows_first, fresh.rows_first)
+            assert hex_nbest(f, tr, lm2, lexicon, cfg) == hex_nbest(f, tr, lm2, fresh, cfg)
+            smear(lexicon, lm)
+
+    @pytest.mark.parametrize("mode", ["max", "logadd"])
+    def test_every_lm_query_is_a_new_pair_through_the_module_global(self, tmp_path, alphabet, monkeypatch, mode):
+        # perfbench counts the LM queries by wrapping convasr.decoder.score_word:
+        # the vocabulary lookups of every query made count them all
+        class CountedVocab(dict):
+            lookups = 0
+
+            def get(self, *args):
+                CountedVocab.lookups += 1
+                return super().get(*args)
+
+        rng = np.random.default_rng(14)
+        lm, lexicon = make_setup(tmp_path, lexicon_with_a_letter(rng, 6, 8), rng, alphabet)
+        lm.vocab = CountedVocab(lm.vocab)
+        f, tr = rng.normal(size=(14, len(alphabet))), random_transitions(rng, len(alphabet))
+        queries = []
+
+        def counted(lm, state, word):
+            queries.append((state, word))
+            return score_word(lm, state, word)
+
+        monkeypatch.setattr(decoder, "score_word", counted)
+        decode(f, tr, lm, lexicon, DecoderConfig(alpha=1.0, beta=0.5, beam_size=4, mode=mode))
+        commits = [q for q in queries if q[1] != "</s>"]
+        assert len(commits) > 10 and len(commits) == len(set(commits))
+        assert CountedVocab.lookups == len(queries)
 
     def test_concurrent_utterances_share_lm_and_lexicon(self, tmp_path, alphabet):
         # one utterance per thread over the same immutable model objects
@@ -762,6 +808,37 @@ class TestWordStartBound:
         got = hex_nbest(*case)
         assert got == hex_nbest(*case, search=oracles.reference_decode)
         assert got["nbest"][0][0] == ["a", "bd"]
+
+
+class TestExpansionRows:
+    """``LexiconTrie.rows``, the moves off each trie node, against the
+    reference search, which offers every move one at a time."""
+
+    @pytest.mark.parametrize("mode", ["max", "logadd"])
+    @pytest.mark.parametrize("policy", ["none", "optional", "mandatory"])
+    def test_an_edge_repeating_its_label_never_advances(self, tmp_path, mode, policy):
+        # "aa" and "aab" are spelled a a (a spelling build_lexicon refuses):
+        # staying on "a" and advancing to "aa" would emit the same label, so
+        # a hypothesis on "a" only stays, and neither word can be decoded
+        alphabet = make_alphabet(LETTERS)
+        words = ["aab", "ab", "a", "ca", "aa"]
+        lexicon = LexiconTrie(words, [[alphabet.index[c] for c in w] for w in words], alphabet)
+        lm = load_arpa(make_bigram_arpa(tmp_path / "lm.arpa", words, np.random.default_rng(6)))
+        smear(lexicon, lm)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            f = rng.normal(size=(int(rng.integers(3, 9)), len(alphabet)))
+            f[:, alphabet.index["a"]] += 1.0  # favour the repeated label
+            cfg = DecoderConfig(
+                alpha=float(rng.choice([0.0, 1.0])),
+                beta=float(rng.uniform(-1.0, 1.0)),
+                beam_size=int(rng.choice([1, 2, 4, 10**6])),
+                beam_threshold=float(rng.choice([math.inf, 3.0])),
+                mode=mode,
+                silence=policy,
+            )
+            case = (f, random_transitions(rng, len(alphabet)), lm, lexicon, cfg)
+            assert hex_nbest(*case) == hex_nbest(*case, search=oracles.reference_decode), seed
 
 
 def scale_nbest(tmp_path) -> list:

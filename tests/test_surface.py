@@ -104,7 +104,9 @@ def test_public_names():
 
 def test_lexicon_trie_fields():
     got = [f.name for f in dataclasses.fields(LexiconTrie)]
-    assert got == ["words", "spellings", "alphabet", "first", "label", "ends", "num_ends", "smeared"]
+    assert got == [
+        "words", "spellings", "alphabet", "first", "label", "ends", "num_ends", "smeared", "rows_first", "rows"
+    ]
 
 
 def test_lattice_fields():
